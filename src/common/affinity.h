@@ -17,8 +17,9 @@
 //
 //  * Runtime checker — every substrate binds the current thread's role
 //    before running node code (ScopedNodeBind in SimCluster event
-//    callbacks, ThreadCluster::node_loop, TcpHost::node_loop) or worker
-//    code (ScopedWorkerBind in MatchExecutor::worker_loop). Annotated
+//    callbacks and in runtime::NodeLoop::run, the node thread of both
+//    ThreadCluster and TcpHost) or worker code (ScopedWorkerBind in
+//    MatchExecutor::worker_loop). Annotated
 //    entry points then call BD_ASSERT_NODE_THREAD(ctx) /
 //    BD_ASSERT_WORKER_THREAD(), which verify the binding against the
 //    expected identity. Binding is always on (a few thread-local stores);

@@ -6,9 +6,10 @@
 //
 // The contract mirrors the paper's matching servers: a matcher owns `cores`
 // workers draining per-dimension queues. On the real substrates
-// (ThreadCluster, TcpHost) offloaded work runs on a pool worker thread; on
-// the simulator it runs inline and the completion is deferred through the
-// deterministic charge() path, so simulation results stay bit-identical.
+// (ThreadCluster, TcpHost, both through runtime::NodeLoop) offloaded work
+// runs on a pool worker thread; on the simulator it runs inline and the
+// completion is deferred through the deterministic charge() path, so
+// simulation results stay bit-identical.
 
 #include <functional>
 

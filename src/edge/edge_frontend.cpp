@@ -1,7 +1,6 @@
 #include "edge/edge_frontend.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -33,11 +32,6 @@ double mono_seconds() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point epoch = clock::now();
   return std::chrono::duration<double>(clock::now() - epoch).count();
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ struct MatchRequest {
   /// is non-zero (the whole trace block is), so untraced wire bytes are
   /// unchanged.
   std::uint64_t parent_span = 0;
-  obs::TraceHops hops;
+  obs::TraceHops hops{};
 };
 
 /// Matcher -> dispatcher: matching for `msg_id` completed (reliable mode).
@@ -126,7 +126,7 @@ struct MatchCompleted {
   obs::TraceId trace_id = 0;
   /// Echo of MatchRequest::parent_span (serialized only when traced).
   std::uint64_t parent_span = 0;
-  obs::TraceHops hops;
+  obs::TraceHops hops{};
 };
 
 // --------------------------------------------------------------------------

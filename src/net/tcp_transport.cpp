@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "common/affinity.h"
 #include "common/logging.h"
 #include "net/wire.h"
 #include "obs/recorder.h"
@@ -102,82 +101,6 @@ std::size_t raise_fd_limit(std::size_t want) {
 }
 
 // ---------------------------------------------------------------------------
-// Context
-// ---------------------------------------------------------------------------
-
-class TcpHost::Context final : public NodeContext {
- public:
-  Context(TcpHost* host, std::uint64_t seed) : host_(host), rng_(seed) {}
-
-  NodeId self() const override { return host_->self_; }
-
-  Timestamp now() const override {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         host_->epoch_)
-        .count();
-  }
-
-  void send(NodeId to, Envelope env) override {
-    if (!host_->send_to(to, env)) {
-      host_->dropped_sends_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  TimerId set_timer(Timestamp delay, std::function<void()> fn) override {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(std::max(delay, 0.0)));
-    TimerId id;
-    {
-      bd::LockGuard lock(host_->mu_);
-      id = host_->next_timer_++;
-      host_->timers_.emplace(deadline, std::make_pair(id, std::move(fn)));
-    }
-    host_->cv_.notify_one();
-    return id;
-  }
-
-  void cancel_timer(TimerId id) override {
-    bd::LockGuard lock(host_->mu_);
-    for (auto it = host_->timers_.begin(); it != host_->timers_.end(); ++it) {
-      if (it->second.first == id) {
-        host_->timers_.erase(it);
-        return;
-      }
-    }
-  }
-
-  void charge(double /*work_units*/, std::function<void()> done) override {
-    // Real cycles were already spent; defer through the task queue so
-    // core-bounded callers do not recurse.
-    host_->enqueue_task(std::move(done));
-  }
-
-  Rng& rng() override { return rng_; }
-
-  bool enable_offload(int workers, std::size_t lanes) override {
-    return host_->enable_offload(workers, lanes);
-  }
-
-  void offload(std::size_t lane, OffloadWork work, OffloadDone done) override {
-    if (host_->executor_ != nullptr &&
-        host_->executor_->submit(lane, work, done)) {
-      return;
-    }
-    // No pool or the lane is full: run inline on the node thread and defer
-    // the completion, matching the single-threaded contract.
-    OffloadWorker self{-1, &rng_};
-    const double units = work(self);
-    charge(units, [done = std::move(done), units] { done(units); });
-  }
-
- private:
-  TcpHost* host_;
-  Rng rng_;
-};
-
-// ---------------------------------------------------------------------------
 // TcpHost
 // ---------------------------------------------------------------------------
 
@@ -185,11 +108,15 @@ TcpHost::TcpHost(NodeId self, std::uint16_t listen_port,
                  std::unique_ptr<Node> node, std::uint64_t seed,
                  WireConfig wire)
     : self_(self),
-      node_(std::move(node)),
       wire_(wire),
-      seed_(seed ^ self),
-      ctx_(std::make_unique<Context>(this, seed ^ self)),
-      epoch_(std::chrono::steady_clock::now()) {
+      loop_(self, std::move(node),
+            [this](NodeId to, Envelope&& env) {
+              if (!send_to(to, env)) {
+                dropped_sends_.fetch_add(1, std::memory_order_relaxed);
+              }
+            },
+            seed ^ self, std::chrono::steady_clock::now(),
+            runtime::MatchExecutorConfig{}.lane_capacity, &wire_metrics_) {
   if (wire_.batch < 1) wire_.batch = 1;
   if (wire_.writers < 1) wire_.writers = 1;
   if (wire_.queue_capacity == 0) wire_.queue_capacity = 1;
@@ -205,6 +132,8 @@ TcpHost::TcpHost(NodeId self, std::uint16_t listen_port,
       &wire_metrics_.counter("wire.payload_bytes_copied");
   m_frame_envs_ = &wire_metrics_.histogram("wire.frame_envelopes");
   m_frame_bytes_ = &wire_metrics_.histogram("wire.frame_bytes");
+  m_inbox_depth_ = &wire_metrics_.gauge("runtime.inbox_depth");
+  m_inbox_high_water_ = &wire_metrics_.gauge("runtime.inbox_high_water");
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return;
   const int one = 1;
@@ -245,14 +174,8 @@ void TcpHost::add_peer(NodeId id, TcpEndpoint endpoint) {
 }
 
 void TcpHost::start() {
-  if (listen_fd_ < 0) return;
-  {
-    bd::LockGuard lock(mu_);
-    if (started_ || stopping_) return;
-    started_ = true;
-  }
+  if (listen_fd_ < 0 || !loop_.start()) return;
   accept_thread_ = std::thread([this] { accept_loop(); });
-  node_thread_ = std::thread([this] { node_loop(); });
   if (wire_.async()) {
     writer_threads_.reserve(static_cast<std::size_t>(wire_.writers));
     for (int i = 0; i < wire_.writers; ++i) {
@@ -262,12 +185,8 @@ void TcpHost::start() {
 }
 
 void TcpHost::stop() {
-  {
-    bd::LockGuard lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
+  // From here on the node inbox refuses tasks and the node thread exits.
+  if (!loop_.request_stop()) return;
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
@@ -320,12 +239,18 @@ void TcpHost::stop() {
       if (t.joinable()) t.join();
     }
   }
-  if (node_thread_.joinable()) node_thread_.join();
-  // Stop the offload pool after the node thread is gone: no new submissions
-  // can arrive, running jobs finish, and their completions are dropped by
-  // enqueue_task's stopping check.
-  if (executor_ != nullptr) executor_->stop();
-  if (node_) node_->stop();
+  // Last, the node thread (Node::stop ran on it as its loop exited), then
+  // the offload pool, then the inbox accounting audit.
+  loop_.join();
+}
+
+const obs::MetricsRegistry& TcpHost::wire_metrics() const {
+  const QueueStats& s = loop_.inbox_stats();
+  m_inbox_depth_->set(
+      static_cast<double>(s.depth.load(std::memory_order_relaxed)));
+  m_inbox_high_water_->set(
+      static_cast<double>(s.high_water.load(std::memory_order_relaxed)));
+  return wire_metrics_;
 }
 
 void TcpHost::accept_loop() {
@@ -371,9 +296,9 @@ void TcpHost::reader_loop(int fd) {
     }
     // One task per frame: a coalesced EnvelopeBatch frame costs one queue
     // round-trip however many envelopes it carries.
-    enqueue_task([this, from = frame.from,
-                  envs = std::move(frame.envelopes)]() mutable {
-      for (Envelope& env : envs) node_->on_receive(from, std::move(env));
+    loop_.post([node = loop_.node(), from = frame.from,
+                envs = std::move(frame.envelopes)]() mutable {
+      for (Envelope& env : envs) node->on_receive(from, std::move(env));
     });
   }
   {
@@ -393,37 +318,10 @@ void TcpHost::reader_loop(int fd) {
   ::close(fd);
 }
 
-bool TcpHost::enable_offload(int workers, std::size_t lanes) {
-  if (workers < 1) return false;
-  if (executor_ != nullptr) return true;
-  {
-    bd::LockGuard lock(mu_);
-    if (stopping_) return false;
-  }
-  runtime::MatchExecutorConfig cfg;
-  cfg.workers = workers;
-  cfg.lanes = std::max<std::size_t>(lanes, 1);
-  cfg.seed = seed_;
-  cfg.owner = self_;
-  executor_ = std::make_unique<runtime::MatchExecutor>(
-      cfg, [this](std::function<void()> fn) { enqueue_task(std::move(fn)); },
-      &wire_metrics_);
-  return true;
-}
-
 void TcpHost::inject(NodeId from, Envelope&& env) {
-  enqueue_task([this, from, env = std::move(env)]() mutable {
-    node_->on_receive(from, std::move(env));
+  loop_.post([node = loop_.node(), from, env = std::move(env)]() mutable {
+    node->on_receive(from, std::move(env));
   });
-}
-
-void TcpHost::enqueue_task(std::function<void()> fn) {
-  {
-    bd::LockGuard lock(mu_);
-    if (stopping_) return;
-    tasks_.push_back(std::move(fn));
-  }
-  cv_.notify_one();
 }
 
 int TcpHost::connect_peer(NodeId peer) {
@@ -739,44 +637,8 @@ bool TcpHost::flush_iovecs(PeerQueue& q, const std::vector<::iovec>& iov) {
 }
 
 // ---------------------------------------------------------------------------
-// Node event loop and one-shot client helpers
+// One-shot client helpers
 // ---------------------------------------------------------------------------
-
-void TcpHost::node_loop() {
-  // The node thread is the serialized context for the hosted node: handlers,
-  // timer callbacks, and offload completions all execute here.
-  affinity::ScopedNodeBind bind(ctx_.get());
-  obs::Recorder::bind_node(self_);
-  obs::Recorder::label_thread("node" + std::to_string(self_));
-  node_->start(*ctx_);
-  bd::UniqueLock lock(mu_);
-  while (true) {
-    const auto now = std::chrono::steady_clock::now();
-    while (!timers_.empty() && timers_.begin()->first <= now) {
-      auto fn = std::move(timers_.begin()->second.second);
-      timers_.erase(timers_.begin());
-      lock.unlock();
-      fn();
-      lock.lock();
-    }
-    if (stopping_) break;
-    if (!tasks_.empty()) {
-      auto task = std::move(tasks_.front());
-      tasks_.pop_front();
-      lock.unlock();
-      task();
-      lock.lock();
-      continue;
-    }
-    if (timers_.empty()) {
-      while (!stopping_ && tasks_.empty() && timers_.empty()) {
-        cv_.wait(lock);
-      }
-    } else {
-      cv_.wait_until(lock, timers_.begin()->first);
-    }
-  }
-}
 
 bool TcpHost::send_once(const TcpEndpoint& endpoint, const Envelope& env) {
   const int fd = connect_endpoint(endpoint);

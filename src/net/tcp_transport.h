@@ -1,12 +1,12 @@
 #pragma once
 // TCP transport: the same Node logic over real sockets.
 //
-// A TcpHost runs ONE node (matcher or dispatcher) and gives it a
-// NodeContext whose send() ships length-prefixed serialized envelopes over
-// TCP to peer hosts — in another thread, another process, or another
-// machine. This is the deployment substrate a production BlueDove would
-// use; the simulator reproduces the paper's experiments, the thread cluster
-// backs the embedded Service, and this backs multi-process clusters (see
+// A TcpHost runs ONE node (matcher or dispatcher) in a runtime::NodeLoop
+// whose send() ships length-prefixed serialized envelopes over TCP to peer
+// hosts — in another thread, another process, or another machine. This is
+// the deployment substrate a production BlueDove would use; the simulator
+// reproduces the paper's experiments, the thread cluster backs the embedded
+// Service, and this backs multi-process clusters (see
 // tools/bluedove_noded.cpp).
 //
 // Wire framing (net/wire.h), per frame:
@@ -39,18 +39,16 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_safety.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
-#include "runtime/match_executor.h"
+#include "runtime/node_loop.h"
 
 namespace bluedove::net {
 
@@ -102,17 +100,21 @@ class TcpHost {
   /// before or after start().
   void add_peer(NodeId id, TcpEndpoint endpoint);
 
-  /// Starts the accept loop, the node thread, the writer pool (async wire
-  /// path only), and calls Node::start.
+  /// Starts the accept loop, the node thread (which calls Node::start),
+  /// and the writer pool (async wire path only).
   void start();
 
-  /// Stops serving and joins all threads. Idempotent.
+  /// Stops serving and joins all threads; Node::stop runs on the node
+  /// thread as its loop exits. Idempotent.
   void stop();
 
-  Node* node() { return node_.get(); }
+  /// True between start() and stop().
+  bool running() const { return loop_.running(); }
+
+  Node* node() { return loop_.node(); }
   template <typename T>
   T* node_as() {
-    return static_cast<T*>(node_.get());
+    return static_cast<T*>(loop_.node());
   }
 
   std::uint64_t dropped_sends() const { return dropped_sends_.load(); }
@@ -121,13 +123,15 @@ class TcpHost {
   /// arrived on the wire from `from` — the node task queue serializes it
   /// with real socket traffic. Lets in-process front ends (the client edge
   /// layer) hand ingress to the node thread without a loopback round trip.
-  /// Safe from any thread; dropped after stop() begins.
+  /// Safe from any thread; dropped before start() and after stop() begins.
   void inject(NodeId from, Envelope&& env);
 
-  /// Host-level wire instrumentation: bytes/frames/envelopes sent, frame
-  /// batch-size histogram, per-peer queue depth gauges. Snapshot-safe from
+  /// Host-level instrumentation: bytes/frames/envelopes sent, frame
+  /// batch-size histogram, per-peer queue depth gauges, the offload pool's
+  /// exec.* instruments, and the node inbox's runtime.inbox_depth /
+  /// runtime.inbox_high_water gauges (refreshed by this call). Safe from
   /// any thread; bluedove_noded merges this into its stats export.
-  const obs::MetricsRegistry& wire_metrics() const { return wire_metrics_; }
+  const obs::MetricsRegistry& wire_metrics() const;
 
   /// One-shot client helper: connect, send one envelope (sender id
   /// kInvalidNode), close. Returns false when the peer is unreachable.
@@ -142,9 +146,6 @@ class TcpHost {
                             double timeout_sec = 5.0);
 
  private:
-  class Context;
-  friend class Context;
-
   /// Per-peer outbound state for the async wire path. Stable address (held
   /// by unique_ptr, never erased before stop), so writers can reference it
   /// outside the peers lock. The `draining` flag makes each peer drained by
@@ -172,13 +173,7 @@ class TcpHost {
 
   void accept_loop();
   void reader_loop(int fd);
-  BD_NODE_THREAD void node_loop();
   void writer_loop();
-  void enqueue_task(std::function<void()> fn);
-  /// Creates the node's offload worker pool (idempotent); completions are
-  /// posted back through the node task queue. Called from Node::start on
-  /// the node thread.
-  bool enable_offload(int workers, std::size_t lanes);
 
   bool send_to(NodeId peer, const Envelope& env);
   bool send_sync(NodeId peer, const Envelope& env);
@@ -199,14 +194,7 @@ class TcpHost {
   void pool_put(std::vector<std::uint8_t> buf);
 
   NodeId self_;
-  std::unique_ptr<Node> node_;
   WireConfig wire_;
-  std::uint64_t seed_ = 0;  ///< node seed; also seeds offload worker streams
-  std::unique_ptr<Context> ctx_;
-  /// Offload worker pool (created by enable_offload on the node thread,
-  /// stopped after the node thread joins; its exec.* instruments live in
-  /// wire_metrics_ so stats exports pick them up).
-  std::unique_ptr<runtime::MatchExecutor> executor_;
 
   // Written by the constructor and stop(), read by accept_loop() while it
   // blocks in accept(); atomic so the shutdown handshake (close the
@@ -245,25 +233,12 @@ class TcpHost {
   bd::Mutex pool_mu_;
   std::vector<std::vector<std::uint8_t>> pool_ BD_GUARDED_BY(pool_mu_);
 
-  // Node event loop (tasks + timers), same discipline as ThreadCluster.
-  bd::Mutex mu_;
-  bd::CondVar cv_;
-  std::deque<std::function<void()>> tasks_ BD_GUARDED_BY(mu_);
-  std::multimap<std::chrono::steady_clock::time_point,
-                std::pair<TimerId, std::function<void()>>>
-      timers_ BD_GUARDED_BY(mu_);
-  TimerId next_timer_ BD_GUARDED_BY(mu_) = 1;
-  bool stopping_ BD_GUARDED_BY(mu_) = false;
-  bool started_ BD_GUARDED_BY(mu_) = false;
-
   std::thread accept_thread_;
-  std::thread node_thread_;
   bd::Mutex readers_mu_;
   std::vector<std::thread> reader_threads_ BD_GUARDED_BY(readers_mu_);
   /// Open inbound sockets (for shutdown).
   std::vector<int> accepted_fds_ BD_GUARDED_BY(readers_mu_);
 
-  std::chrono::steady_clock::time_point epoch_;
   std::atomic<std::uint64_t> dropped_sends_{0};
 
   // Wire instrumentation (registered once in the constructor, cached).
@@ -283,6 +258,13 @@ class TcpHost {
   obs::Counter* m_payload_copy_bytes_ = nullptr;
   obs::LatencyHistogram* m_frame_envs_ = nullptr;   ///< envelopes per frame
   obs::LatencyHistogram* m_frame_bytes_ = nullptr;  ///< bytes per frame
+  obs::Gauge* m_inbox_depth_ = nullptr;       ///< runtime.inbox_depth
+  obs::Gauge* m_inbox_high_water_ = nullptr;  ///< runtime.inbox_high_water
+
+  /// The node's event loop (task queue, timers, offload pool). Declared
+  /// last: it records into wire_metrics_ and its send() routes through the
+  /// wire state above.
+  runtime::NodeLoop loop_;
 };
 
 }  // namespace bluedove::net

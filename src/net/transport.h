@@ -2,11 +2,15 @@
 // Transport abstraction.
 //
 // Node logic (dispatchers, matchers) is written once against NodeContext and
-// runs unchanged on two substrates:
+// runs unchanged on every substrate:
 //   * sim::SimCluster — deterministic discrete-event simulation; time is
 //     virtual and CPU cost is charged from work units (drives experiments).
-//   * runtime::ThreadCluster — one real thread per node with real queues
-//     (drives the examples and threaded integration tests).
+//   * runtime::NodeLoop — one real thread per node with a real task queue,
+//     timer heap and offload pool. Two hosts run it and differ only in how
+//     send() travels: runtime::ThreadCluster hands the envelope to another
+//     loop in the same process (drives the examples and threaded
+//     integration tests), net::TcpHost puts it on the wire to another
+//     process (drives bluedove_noded).
 
 #include <cstddef>
 #include <cstdint>

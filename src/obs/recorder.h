@@ -16,10 +16,10 @@
 //    not), so a dump can always read every ring that ever existed.
 //  * Substrate-agnostic attribution. Every event carries the NodeId the
 //    current thread is bound to (set by the substrates next to their
-//    affinity bindings: once per node loop on ThreadCluster / TcpHost, per
-//    delivered event on SimCluster, per pool worker in MatchExecutor), so
-//    one OS thread multiplexing many simulated nodes still attributes each
-//    event to the right node.
+//    affinity bindings: once per runtime::NodeLoop thread on ThreadCluster /
+//    TcpHost, per delivered event on SimCluster, per pool worker in
+//    MatchExecutor), so one OS thread multiplexing many simulated nodes
+//    still attributes each event to the right node.
 //
 // Readers (Recorder::dump) copy a ring's surviving window without stopping
 // the writer. A writer lapping the reader mid-copy can tear the oldest

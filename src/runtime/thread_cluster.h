@@ -1,22 +1,17 @@
 #pragma once
 // ThreadCluster: the real-time substrate. Each node runs on its own thread
-// with a SEDA-style task queue (messages, timer firings, deferred work
-// completions), so the exact same Node implementations that drive the
-// simulator also run as a live in-process cluster. This substrate backs the
+// in a runtime::NodeLoop (a SEDA-style task queue of messages and deferred
+// work completions, plus a timer heap), so the exact same Node
+// implementations that drive the simulator also run as a live in-process
+// cluster. This substrate backs the
 // public bluedove::Service facade and the examples; performance experiments
 // use the deterministic simulator instead.
 
 #include <atomic>
 #include <chrono>
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
-#include "common/affinity.h"
 #include "common/bounded_queue.h"
 #include "common/thread_safety.h"
 #include "common/rng.h"
@@ -81,27 +76,20 @@ class ThreadCluster {
 
  private:
   struct NodeRuntime;
-  class Context;
 
   NodeRuntime* runtime(NodeId id) BD_EXCLUDES(nodes_mu_);
   const NodeRuntime* runtime(NodeId id) const BD_EXCLUDES(nodes_mu_);
+  /// Send routing: hands `env` to the destination node's loop, dropping it
+  /// (and counting the drop) when that node is unknown, not started,
+  /// stopping, or already holds `inbox_capacity` tasks.
   void enqueue(NodeId to, NodeId from, Envelope env);
-  BD_NODE_THREAD void node_loop(NodeRuntime& rt);
-  /// Creates the node's MatchExecutor pool (idempotent). Called by the
-  /// node's Context from Node::start, i.e. on the node thread.
-  bool enable_offload(NodeId id, int workers, std::size_t lanes);
-  /// Ships an offload completion into the node's task queue. Unlike
-  /// enqueue(), completions are never dropped for capacity — a caller that
-  /// bounds its in-flight work by completions (the matcher's core
-  /// accounting) must see every one of them.
-  void post_completion(NodeRuntime& rt, std::function<void()> fn);
 
   ThreadClusterConfig config_;
   std::chrono::steady_clock::time_point epoch_;
   Rng seed_rng_;
   mutable bd::Mutex nodes_mu_;
   /// The map itself is guarded; the pointed-to NodeRuntimes are stable
-  /// (never erased before shutdown) and carry their own lock.
+  /// (never erased before shutdown) and their loops carry their own lock.
   std::unordered_map<NodeId, std::unique_ptr<NodeRuntime>> nodes_
       BD_GUARDED_BY(nodes_mu_);
   std::atomic<std::uint64_t> dropped_{0};

@@ -138,6 +138,22 @@ TEST(TcpHost, TimersFire) {
   a.stop();
 }
 
+TEST(TcpHost, InboxGaugesInWireMetrics) {
+  TcpHost a(1, 0, std::make_unique<CountingNode>());
+  auto* na = a.node_as<CountingNode>();
+  a.start();
+  for (int i = 0; i < 3; ++i) {
+    a.inject(kInvalidNode, Envelope::of(ClientPublish{}));
+  }
+  ASSERT_TRUE(eventually([&] { return na->publishes.load() == 3; }));
+  const obs::MetricsSnapshot snap = a.wire_metrics().snapshot();
+  ASSERT_TRUE(snap.gauges.count("runtime.inbox_depth"));
+  ASSERT_TRUE(snap.gauges.count("runtime.inbox_high_water"));
+  EXPECT_EQ(snap.gauges.at("runtime.inbox_depth"), 0.0);
+  EXPECT_GE(snap.gauges.at("runtime.inbox_high_water"), 1.0);
+  a.stop();
+}
+
 // ---------------------------------------------------------------------------
 // A real BlueDove cluster over loopback TCP: 1 dispatcher, 3 matchers, a
 // delivery/metrics sink — subscribe, publish, receive.

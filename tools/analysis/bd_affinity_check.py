@@ -23,7 +23,7 @@ a task or closure handed to another thread rather than a direct call. Calls
 that appear lexically inside the argument list of one of these are not call
 graph edges (the closure runs on the far side of the hand-off):
 
-  offload( inject( post( post_completion( submit( enqueue( push( try_push(
+  offload( inject( post( submit( enqueue( push( try_push(
   std::thread( / std::thread{
 
 Audited hand-off sites that the construct list cannot express carry a
@@ -64,7 +64,6 @@ BOUNDARY_CALLS = (
     "offload",
     "inject",
     "post",
-    "post_completion",
     "submit",
     "enqueue",
     "push",

@@ -9,7 +9,8 @@
 #       reachability + serialize/deserialize symmetry, then the checker
 #       golden-file suite (ctest label: analysis)
 #   3. determinism digest double-run (tools/determinism_check.sh)
-#   4. audit-enabled test label (invariant auditor, affinity checker)
+#   4. audit-enabled test label (invariant auditor, affinity checker) and
+#      the runtime label (node loop contract on ThreadCluster and TcpHost)
 #   5. SIMD kernel label (vector kernels vs the scalar oracle)
 #   5b. obs label (flight recorder, trace export, segment load) and the
 #       TCP trace smoke (tools/trace_smoke.sh: 7-process cluster, merged
@@ -24,7 +25,8 @@
 #      labels again under ASan/UBSan (gather/tail lanes and the member
 #      arena's raw range strips are exactly where an out-of-bounds read
 #      would hide)
-#   7. TSan concurrency suites (tools/tsan_check.sh), then the edge label
+#   7. TSan concurrency suites (tools/tsan_check.sh, runtime label
+#      included), then the edge label
 #      under TSan (reactor threads, swarm drivers, session migration)
 #
 # Usage: tools/check_all.sh [--fast]
@@ -54,6 +56,9 @@ echo "== determinism =="
 
 echo "== audit label =="
 ctest --test-dir "${repo_root}/build" --output-on-failure -L audit
+
+echo "== runtime label (node loop contract on both hosts) =="
+ctest --test-dir "${repo_root}/build" --output-on-failure -L runtime
 
 echo "== simd label =="
 ctest --test-dir "${repo_root}/build" --output-on-failure -L simd

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer (-DBLUEDOVE_TSAN=ON) and runs the
-# concurrency-sensitive suites under it: the thread-cluster runtime, the TCP
-# transport, the batched wire path (writer pool, per-peer queues, buffer
-# pool), the node logic they drive, the obs metrics hot path (relaxed
+# concurrency-sensitive suites under it: the `runtime` label (the node loop
+# contract on both ThreadCluster and TcpHost), the TCP transport, the
+# batched wire path (writer pool, per-peer queues, buffer pool), the node
+# logic they drive, the obs metrics hot path (relaxed
 # atomics updated from matcher worker threads while snapshots read them),
 # and the `parallel` label (offload worker pool, work-stealing lanes,
 # epoch-guarded store, snapshot-vs-churn differential). The `cover` label
@@ -55,6 +56,8 @@ else
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
     -R 'Tcp|Wire|ThreadCluster|Logger|Registry|BoundedQueue|LatencyHistogram' \
     ${ctest_args[@]+"${ctest_args[@]}"}
+  ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
+    -L runtime ${ctest_args[@]+"${ctest_args[@]}"}
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
     -L parallel ${ctest_args[@]+"${ctest_args[@]}"}
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
