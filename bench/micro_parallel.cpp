@@ -94,12 +94,7 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
   const MatcherNode* matcher = matcher_node.get();
   net::TcpHost matcher_host(kMatcher, 0, std::move(matcher_node));
 
-  net::WireConfig wire;
-  wire.batch = 32;
-  wire.flush_interval = 0.0005;
-  wire.queue_capacity = static_cast<std::size_t>(subs + requests) + 1024;
-  net::TcpHost client_host(kClient, 0, std::make_unique<ClientNode>(), 42,
-                           wire);
+  net::TcpHost client_host(kClient, 0, std::make_unique<ClientNode>());
   auto* client = client_host.node_as<ClientNode>();
 
   matcher_host.add_peer(kClient, {"127.0.0.1", client_host.port()});
@@ -110,10 +105,17 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   NodeContext* ctx = client->ctx();
+  // Envelopes are built on this thread and sent from node-thread tasks.
+  const auto send = [&](std::vector<Envelope> envs) {
+    client_host.post([ctx, envs = std::move(envs)]() mutable {
+      for (Envelope& env : envs) ctx->send(kMatcher, std::move(env));
+    });
+  };
 
   // Preload: `subs` subscriptions, round-robin across the dimension sets,
   // each a 1%-wide predicate per dimension.
   Rng rng(7);
+  std::vector<Envelope> stores;
   for (std::uint64_t i = 1; i <= subs; ++i) {
     Subscription sub;
     sub.id = i;
@@ -123,8 +125,12 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
       const double lo = rng.uniform(0.0, kDomainHi - 1.0);
       sub.ranges.push_back(Range{lo, lo + 1.0});
     }
-    ctx->send(kMatcher, Envelope::of(StoreSubscription{
-                            std::move(sub), static_cast<DimId>(i % kDims)}));
+    stores.push_back(Envelope::of(StoreSubscription{
+        std::move(sub), static_cast<DimId>(i % kDims)}));
+    if (stores.size() == 1024 || i == subs) {
+      send(std::move(stores));
+      stores.clear();
+    }
   }
   // Barrier: the wire is FIFO per link, so once this request is acked every
   // store above has been applied.
@@ -134,7 +140,7 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
     barrier.msg.values.assign(kDims, 0.0);
     barrier.dim = 0;
     barrier.reply_to = kClient;
-    ctx->send(kMatcher, Envelope::of(std::move(barrier)));
+    send({Envelope::of(std::move(barrier))});
   }
   const double preload_deadline = now_sec() + 300.0;
   while (client->acks() < 1 && now_sec() < preload_deadline) {
@@ -165,7 +171,7 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
     req.dim = static_cast<DimId>(i % kDims);
     batch.reqs.push_back(std::move(req));
     if (batch.reqs.size() == kWireBatch || i + 1 == requests) {
-      ctx->send(kMatcher, Envelope::of(std::move(batch)));
+      send({Envelope::of(std::move(batch))});
       batch = MatchRequestBatch{};
       batch.reqs.reserve(kWireBatch);
     }

@@ -1,23 +1,26 @@
 // micro_wire — loopback TCP wire-path benchmark.
 //
-// Measures the outbound wire path of net::TcpHost between two hosts on
-// 127.0.0.1, sweeping the wire batch size (1 = the synchronous
-// frame-per-message path, >1 = the queued writer pool with frame
-// coalescing) against two payload sizes:
+// Measures net::TcpHost's outbound path between two hosts on 127.0.0.1.
+// Every send happens on the sender's node thread, in tasks posted from the
+// bench thread; the host flushes each task's sends per peer, so the number
+// of publishes a task sends is the number of envelopes per frame. The
+// sweep crosses publishes per task with two payload sizes:
 //
 //   throughput  blast N publications and time until the receiver has
 //               counted all of them
-//   latency     ping-pong round trips (publish -> MatchAck) through an
-//               otherwise idle wire, so the flush linger shows up
+//   latency     ping-pong round trips (publish -> MatchAck), one send per
+//               task, through an otherwise idle wire
 //
-// Emits BENCH_wire.json (obs JSON schema): one gauge per
-// (batch, payload) throughput cell, speedup gauges vs batch=1, and one
-// RTT histogram per batch setting.
+// Emits BENCH_wire.json (obs JSON schema): one gauge per (per-task,
+// payload) throughput cell, speedup gauges vs one publish per task, the
+// RTT histogram, and the box it ran on (hardware_concurrency, and ndebug =
+// 1 for an optimised Release/RelWithDebInfo build).
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "bench_util.h"
@@ -28,7 +31,7 @@ using namespace bluedove;
 namespace {
 
 /// Counts publications; optionally acks each one back to its sender. Also
-/// exposes its context so the bench main thread can drive sends.
+/// exposes its context for the sends the bench posts to its node thread.
 class BenchNode final : public Node {
  public:
   explicit BenchNode(bool echo) : echo_(echo) {}
@@ -92,31 +95,31 @@ struct ThroughputResult {
   std::uint64_t payload_bytes_copied = 0;
 };
 
-/// Blasts `n` publications sender -> receiver and returns msgs/sec counted
-/// at the receiver. The send queue is sized to hold the whole blast so the
-/// measurement is of the wire, not of backpressure drops.
-ThroughputResult run_throughput(int batch, std::size_t payload_bytes,
+/// Blasts `n` publications sender -> receiver, `per_task` per node task,
+/// and returns msgs/sec counted at the receiver.
+ThroughputResult run_throughput(int per_task, std::size_t payload_bytes,
                                 std::uint64_t n) {
   auto recv_node = std::make_unique<BenchNode>(/*echo=*/false);
   BenchNode* recv = recv_node.get();
   net::TcpHost receiver(1, 0, std::move(recv_node));
   receiver.start();
 
-  net::WireConfig wire;
-  wire.batch = batch;
-  wire.flush_interval = batch > 1 ? 0.0005 : 0.0;
-  wire.queue_capacity = static_cast<std::size_t>(n) + 64;
   auto send_node = std::make_unique<BenchNode>(/*echo=*/false);
   BenchNode* send = send_node.get();
-  net::TcpHost sender(2, 0, std::move(send_node), 42, wire);
+  net::TcpHost sender(2, 0, std::move(send_node));
   sender.add_peer(1, {"127.0.0.1", receiver.port()});
   sender.start();
   NodeContext* ctx = wait_ctx(send);
 
   const std::string payload(payload_bytes, 'x');
+  const auto k = static_cast<std::uint64_t>(per_task);
   const double t0 = now_sec();
-  for (std::uint64_t i = 1; i <= n; ++i) {
-    ctx->send(1, make_publish(i, payload));
+  for (std::uint64_t first = 1; first <= n; first += k) {
+    sender.post([ctx, &payload, first, k, n] {
+      for (std::uint64_t i = first; i < first + k && i <= n; ++i) {
+        ctx->send(1, make_publish(i, payload));
+      }
+    });
   }
   const double deadline = now_sec() + 60.0;
   while (recv->received() < n && now_sec() < deadline) {
@@ -127,8 +130,9 @@ ThroughputResult run_throughput(int batch, std::size_t payload_bytes,
   sender.stop();
   receiver.stop();
   if (got < n) {
-    std::fprintf(stderr, "micro_wire: only %llu/%llu delivered (batch=%d)\n",
-                 (unsigned long long)got, (unsigned long long)n, batch);
+    std::fprintf(stderr,
+                 "micro_wire: only %llu/%llu delivered (per_task=%d)\n",
+                 (unsigned long long)got, (unsigned long long)n, per_task);
   }
   ThroughputResult res;
   res.tput = static_cast<double>(got) / elapsed;
@@ -145,18 +149,15 @@ ThroughputResult run_throughput(int batch, std::size_t payload_bytes,
 }
 
 /// Ping-pong RTTs through an idle wire: one in-flight message at a time,
-/// acked synchronously by the receiver. Records seconds into `hist`.
-void run_latency(int batch, std::uint64_t rounds, obs::LatencyHistogram* hist) {
+/// acked by the receiver. Records seconds into `hist`.
+void run_latency(std::uint64_t rounds, obs::LatencyHistogram* hist) {
   auto recv_node = std::make_unique<BenchNode>(/*echo=*/true);
   net::TcpHost receiver(1, 0, std::move(recv_node));
   receiver.start();
 
-  net::WireConfig wire;
-  wire.batch = batch;
-  wire.flush_interval = batch > 1 ? 0.0005 : 0.0;
   auto send_node = std::make_unique<BenchNode>(/*echo=*/false);
   BenchNode* send = send_node.get();
-  net::TcpHost sender(2, 0, std::move(send_node), 42, wire);
+  net::TcpHost sender(2, 0, std::move(send_node));
   sender.add_peer(1, {"127.0.0.1", receiver.port()});
   // The ack comes back over a dialed connection to the sender's listener
   // (hosts read inbound sockets only, not the receive side of outgoing
@@ -168,7 +169,7 @@ void run_latency(int batch, std::uint64_t rounds, obs::LatencyHistogram* hist) {
   const std::string payload(64, 'x');
   for (std::uint64_t i = 1; i <= rounds; ++i) {
     const double t0 = now_sec();
-    ctx->send(1, make_publish(i, payload));
+    sender.post([ctx, &payload, i] { ctx->send(1, make_publish(i, payload)); });
     const double deadline = t0 + 5.0;
     while (send->acks() < i && now_sec() < deadline) {
       std::this_thread::yield();
@@ -182,59 +183,67 @@ void run_latency(int batch, std::uint64_t rounds, obs::LatencyHistogram* hist) {
 }  // namespace
 
 int main() {
-  benchutil::header("wire", "TCP wire path: batch size vs payload size");
+  benchutil::header("wire", "TCP wire path: publishes per task vs payload");
   benchutil::note(
-      "wire_batch=1 is the synchronous frame-per-message path; >1 coalesces "
-      "frames through the bounded-queue writer pool");
+      "each node task's sends leave as one frame per peer: per_task=1 is "
+      "one frame and one sendmsg per publish");
 
-  const int batches[] = {1, 8, 32};
+  const int per_tasks[] = {1, 8, 32};
   const std::size_t payloads[] = {64, 1024};
 
   obs::MetricsSnapshot snap;
+  const unsigned hw = std::thread::hardware_concurrency();
+#ifdef NDEBUG
+  const bool ndebug = true;
+#else
+  const bool ndebug = false;
+#endif
+  benchutil::note("hardware_concurrency=" + std::to_string(hw) +
+                  (ndebug ? ", NDEBUG build" : ", debug build"));
+  snap.gauges["wire.hardware_concurrency"] = static_cast<double>(hw);
+  snap.gauges["wire.ndebug"] = ndebug ? 1.0 : 0.0;
   double base_tput[2] = {0.0, 0.0};
   std::uint64_t total_payload_copies = 0;
 
   std::printf("\nthroughput (msgs/sec at the receiver):\n");
-  std::printf("%12s %14s %14s %10s\n", "wire_batch", "payload=64B",
+  std::printf("%12s %14s %14s %10s\n", "per_task", "payload=64B",
               "payload=1KB", "speedup");
-  for (const int batch : batches) {
+  for (const int per_task : per_tasks) {
     double tput[2];
     for (int p = 0; p < 2; ++p) {
       const std::uint64_t n = payloads[p] <= 64 ? 150000 : 40000;
-      const ThroughputResult res = run_throughput(batch, payloads[p], n);
+      const ThroughputResult res = run_throughput(per_task, payloads[p], n);
       tput[p] = res.tput;
-      const std::string suffix = "batch" + std::to_string(batch) + "_pay" +
+      const std::string suffix = "task" + std::to_string(per_task) + "_pay" +
                                  std::to_string(payloads[p]);
       snap.gauges["wire.tput_" + suffix] = tput[p];
       snap.counters["wire.payload_copies_" + suffix] = res.payload_copies;
       snap.counters["wire.payload_bytes_copied_" + suffix] =
           res.payload_bytes_copied;
       total_payload_copies += res.payload_copies;
-      if (batch == 1) base_tput[p] = tput[p];
+      if (per_task == 1) base_tput[p] = tput[p];
     }
     const double speedup = base_tput[0] > 0.0 ? tput[0] / base_tput[0] : 0.0;
-    std::printf("%12d %14.0f %14.0f %9.2fx\n", batch, tput[0], tput[1],
+    std::printf("%12d %14.0f %14.0f %9.2fx\n", per_task, tput[0], tput[1],
                 speedup);
   }
   for (int p = 0; p < 2; ++p) {
     const std::string pay = std::to_string(payloads[p]);
-    const double best = snap.gauges["wire.tput_batch32_pay" + pay];
+    const double best = snap.gauges["wire.tput_task32_pay" + pay];
     snap.gauges["wire.speedup_pay" + pay] =
         base_tput[p] > 0.0 ? best / base_tput[p] : 0.0;
   }
 
   std::printf("\nping-pong RTT through an idle wire (ms):\n");
-  std::printf("%12s %10s %10s %10s\n", "wire_batch", "p50", "p99", "mean");
-  for (const int batch : batches) {
-    obs::LatencyHistogram hist;
-    run_latency(batch, 400, &hist);
-    const obs::HistogramSnapshot h = hist.snapshot();
-    std::printf("%12d %10.3f %10.3f %10.3f\n", batch, h.quantile(0.50) * 1e3,
-                h.quantile(0.99) * 1e3, h.mean() * 1e3);
-    snap.histograms["wire.rtt_batch" + std::to_string(batch)] = h;
-  }
+  std::printf("%10s %10s %10s\n", "p50", "p99", "mean");
+  obs::LatencyHistogram hist;
+  run_latency(400, &hist);
+  const obs::HistogramSnapshot h = hist.snapshot();
+  std::printf("%10.3f %10.3f %10.3f\n", h.quantile(0.50) * 1e3,
+              h.quantile(0.99) * 1e3, h.mean() * 1e3);
+  snap.histograms["wire.rtt"] = h;
 
-  std::printf("\nspeedup batch=32 vs batch=1: %.2fx (64B), %.2fx (1KB)\n",
+  std::printf("\nspeedup 32 vs 1 publish per task: %.2fx (64B), %.2fx (1KB)\n",
               snap.gauges["wire.speedup_pay64"],
               snap.gauges["wire.speedup_pay1024"]);
   std::printf("receiver wire.payload_copies across all throughput runs: %llu "

@@ -118,10 +118,10 @@ class CountingNode final : public Node {
   std::atomic<std::uint64_t> received_{0};
 };
 
-/// Loopback TCP blast (micro_wire shape: batch 8, 64 B payloads, queue
-/// sized to the whole run). The wire threads emit their own recorder
-/// events (frame instants, flush spans), so toggling the global enable
-/// flag is the entire difference between rows.
+/// Loopback TCP blast (micro_wire shape: 8 publishes per node task, 64 B
+/// payloads). The wire path emits its own recorder events (frame instants,
+/// flush spans), so toggling the global enable flag is the entire
+/// difference between rows.
 double wire_throughput(bool recorder_on, std::uint64_t n) {
   obs::Recorder::set_enabled(recorder_on);
   auto recv_node = std::make_unique<CountingNode>();
@@ -129,13 +129,9 @@ double wire_throughput(bool recorder_on, std::uint64_t n) {
   net::TcpHost receiver(1, 0, std::move(recv_node));
   receiver.start();
 
-  net::WireConfig wire;
-  wire.batch = 8;
-  wire.flush_interval = 0.0005;
-  wire.queue_capacity = static_cast<std::size_t>(n) + 64;
   auto send_node = std::make_unique<CountingNode>();
   CountingNode* send = send_node.get();
-  net::TcpHost sender(2, 0, std::move(send_node), 42, wire);
+  net::TcpHost sender(2, 0, std::move(send_node));
   sender.add_peer(1, {"127.0.0.1", receiver.port()});
   sender.start();
   while (send->ctx() == nullptr) {
@@ -144,12 +140,16 @@ double wire_throughput(bool recorder_on, std::uint64_t n) {
 
   const std::string payload(64, 'x');
   const double t0 = now_sec();
-  for (std::uint64_t i = 1; i <= n; ++i) {
-    Message msg;
-    msg.id = i;
-    msg.values = {1.0, 2.0, 3.0, 4.0};
-    msg.payload = payload;
-    send->ctx()->send(1, Envelope::of(ClientPublish{std::move(msg)}));
+  for (std::uint64_t first = 1; first <= n; first += 8) {
+    sender.post([ctx = send->ctx(), &payload, first, n] {
+      for (std::uint64_t i = first; i < first + 8 && i <= n; ++i) {
+        Message msg;
+        msg.id = i;
+        msg.values = {1.0, 2.0, 3.0, 4.0};
+        msg.payload = payload;
+        ctx->send(1, Envelope::of(ClientPublish{std::move(msg)}));
+      }
+    });
   }
   const double deadline = now_sec() + 60.0;
   while (recv->received() < n && now_sec() < deadline) {

@@ -1,6 +1,7 @@
 #include "net/tcp_transport.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/resource.h>
@@ -9,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -105,26 +105,17 @@ std::size_t raise_fd_limit(std::size_t want) {
 // ---------------------------------------------------------------------------
 
 TcpHost::TcpHost(NodeId self, std::uint16_t listen_port,
-                 std::unique_ptr<Node> node, std::uint64_t seed,
-                 WireConfig wire)
+                 std::unique_ptr<Node> node, std::uint64_t seed)
     : self_(self),
-      wire_(wire),
       loop_(self, std::move(node),
-            [this](NodeId to, Envelope&& env) {
-              if (!send_to(to, env)) {
-                dropped_sends_.fetch_add(1, std::memory_order_relaxed);
-              }
-            },
+            [this](NodeId to, Envelope&& env) { send_to(to, env); },
             seed ^ self, std::chrono::steady_clock::now(),
-            runtime::MatchExecutorConfig{}.lane_capacity, &wire_metrics_) {
-  if (wire_.batch < 1) wire_.batch = 1;
-  if (wire_.writers < 1) wire_.writers = 1;
-  if (wire_.queue_capacity == 0) wire_.queue_capacity = 1;
+            runtime::MatchExecutorConfig{}.lane_capacity, &wire_metrics_,
+            [this] { flush(); }) {
   m_envelopes_ = &wire_metrics_.counter("wire.envelopes_sent");
   m_frames_ = &wire_metrics_.counter("wire.frames_sent");
   m_bytes_ = &wire_metrics_.counter("wire.bytes_sent");
   m_flushes_ = &wire_metrics_.counter("wire.flushes");
-  m_queue_drops_ = &wire_metrics_.counter("wire.queue_full_drops");
   m_send_drops_ = &wire_metrics_.counter("wire.send_error_drops");
   m_connects_ = &wire_metrics_.counter("wire.connects");
   m_payload_copies_ = &wire_metrics_.counter("wire.payload_copies");
@@ -157,36 +148,38 @@ TcpHost::TcpHost(NodeId self, std::uint16_t listen_port,
 TcpHost::~TcpHost() { stop(); }
 
 void TcpHost::add_peer(NodeId id, TcpEndpoint endpoint) {
-  bd::LockGuard lock(peers_mu_);
-  peers_[id] = std::move(endpoint);
-  auto it = peer_fds_.find(id);
-  if (it != peer_fds_.end()) {
-    ::close(it->second);
-    peer_fds_.erase(it);
+  {
+    bd::LockGuard lock(peers_mu_);
+    peers_[id] = std::move(endpoint);
   }
-  auto qit = queues_.find(id);
-  if (qit != queues_.end()) {
-    // The writer owns the queue's connection; flag it for redial instead of
-    // closing it out from under an in-flight sendmsg.
-    bd::LockGuard qlock(qit->second->mu);
-    qit->second->redial = true;
-  }
+  // The node thread owns the connection: drop it there, and the next flush
+  // to the peer dials the new endpoint. Refused before start(), when there
+  // is no connection yet.
+  post([this, id] {
+    const auto it = outbound_.find(id);
+    if (it != outbound_.end() && it->second.fd >= 0) {
+      ::close(it->second.fd);
+      it->second.fd = -1;
+    }
+  });
 }
 
 void TcpHost::start() {
   if (listen_fd_ < 0 || !loop_.start()) return;
   accept_thread_ = std::thread([this] { accept_loop(); });
-  if (wire_.async()) {
-    writer_threads_.reserve(static_cast<std::size_t>(wire_.writers));
-    for (int i = 0; i < wire_.writers; ++i) {
-      writer_threads_.emplace_back([this] { writer_loop(); });
-    }
-  }
 }
 
 void TcpHost::stop() {
   // From here on the node inbox refuses tasks and the node thread exits.
   if (!loop_.request_stop()) return;
+  {
+    // The node thread can be blocked in sendmsg against a peer that stopped
+    // reading (full socket buffer). shutdown() — unlike close() — makes that
+    // call return; later writes see closing_ and fail fast.
+    bd::LockGuard lock(write_mu_);
+    closing_ = true;
+    if (writing_fd_ >= 0) ::shutdown(writing_fd_, SHUT_RDWR);
+  }
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
@@ -194,40 +187,8 @@ void TcpHost::stop() {
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   {
-    bd::LockGuard lock(writers_mu_);
-    writers_stop_.store(true);
-  }
-  writers_cv_.notify_all();
-  {
-    // A writer can be blocked inside sendmsg against a peer that stopped
-    // reading (full socket buffer). shutdown() — unlike close() — makes
-    // that syscall return, so the join below cannot hang. Also unblocks
-    // reader threads and any sync sender stuck on a learned fd.
-    bd::LockGuard lock(peers_mu_);
-    for (auto& [id, q] : queues_) {
-      const int fd = q->fd.load();  // seq_cst: pairs with the writer's dial
-      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-    }
-    for (auto& [id, fd] : learned_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  {
     bd::LockGuard lock(readers_mu_);
     for (int fd : accepted_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : writer_threads_) {
-    if (t.joinable()) t.join();
-  }
-  writer_threads_.clear();
-  {
-    bd::LockGuard lock(peers_mu_);
-    for (auto& [id, fd] : peer_fds_) ::close(fd);
-    peer_fds_.clear();
-    for (auto& [id, q] : queues_) {
-      bd::LockGuard qlock(q->mu);
-      const int fd = q->fd.exchange(-1);
-      if (fd >= 0) ::close(fd);
-      q->pending.clear();  // undelivered at shutdown; contract allows it
-    }
   }
   {
     std::vector<std::thread> readers;
@@ -240,8 +201,14 @@ void TcpHost::stop() {
     }
   }
   // Last, the node thread (Node::stop ran on it as its loop exited), then
-  // the offload pool, then the inbox accounting audit.
+  // the offload pool, then the inbox accounting audit. Only then are its
+  // connections ours to close; unflushed sends are dropped, as the
+  // contract allows at shutdown.
   loop_.join();
+  for (auto& [id, out] : outbound_) {
+    if (out.fd >= 0) ::close(out.fd);
+  }
+  outbound_.clear();
 }
 
 const obs::MetricsRegistry& TcpHost::wire_metrics() const {
@@ -324,316 +291,123 @@ void TcpHost::inject(NodeId from, Envelope&& env) {
   });
 }
 
-int TcpHost::connect_peer(NodeId peer) {
-  // BD_REQUIRES(peers_mu_): the annotation replaces the old "held by
-  // caller" comment and Clang now proves it at every call site.
-  auto fd_it = peer_fds_.find(peer);
-  if (fd_it != peer_fds_.end()) return fd_it->second;
-  auto ep_it = peers_.find(peer);
-  if (ep_it == peers_.end()) return -1;
-  const int fd = connect_endpoint(ep_it->second);
-  if (fd >= 0) {
-    peer_fds_[peer] = fd;
-    m_connects_->inc();
+bool TcpHost::post(std::function<void()> fn) {
+  return loop_.post(std::move(fn));
+}
+
+// ---------------------------------------------------------------------------
+// Outbound path: per-peer frames built by send(), written by flush()
+// ---------------------------------------------------------------------------
+
+void TcpHost::send_to(NodeId peer, const Envelope& env) {
+  BD_ASSERT_NODE_THREAD(&loop_);
+  wire::build_body(body_, env);
+  Outbound& out = outbound_[peer];
+  if (out.frames.empty()) dirty_.push_back(peer);
+  // A frame's length word counts everything after it: sender + envelopes.
+  if (out.frames.empty() ||
+      out.frames.back().bytes.size() - 4 + body_.size() > wire::kMaxFrame) {
+    out.frames.emplace_back().bytes.resize(8);  // header, filled at flush
   }
-  return fd;
+  Frame& frame = out.frames.back();
+  frame.bytes.insert(frame.bytes.end(), body_.data(),
+                     body_.data() + body_.size());
+  ++frame.envelopes;
 }
 
-bool TcpHost::send_to(NodeId peer, const Envelope& env) {
-  return wire_.async() ? enqueue_async(peer, env) : send_sync(peer, env);
-}
-
-// ---------------------------------------------------------------------------
-// Synchronous path (wire batch == 1): one frame per send() call
-// ---------------------------------------------------------------------------
-
-bool TcpHost::send_sync(NodeId peer, const Envelope& env) {
-  // Serialize exactly once into a reusable frame buffer (length prefix
-  // patched in place, no second copy), then write it wherever it fits.
-  thread_local serde::Writer w;
-  wire::build_frame(w, self_, env);
-  bd::LockGuard lock(peers_mu_);
-  // Dialable endpoint first, with one retry on a fresh connection: a cached
-  // fd may be a stale connection the peer already closed.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const int fd = connect_peer(peer);
-    if (fd < 0) break;  // no endpoint or dial failed: learned-path fallback
-    if (wire::write_all(fd, w.data(), w.size())) {
-      m_envelopes_->inc();
-      m_frames_->inc();
-      m_bytes_->inc(w.size());
-      return true;
+void TcpHost::flush() {
+  for (const NodeId peer : dirty_) {
+    Outbound& out = outbound_[peer];
+    std::uint64_t envelopes = 0;
+    std::uint64_t bytes = 0;
+    for (Frame& frame : out.frames) {
+      wire::fill_header(frame.bytes.data(),
+                        static_cast<std::uint32_t>(frame.bytes.size() - 8),
+                        self_);
+      envelopes += frame.envelopes;
+      bytes += frame.bytes.size();
     }
+    obs::ScopedSpan flush_span(rec::flush(), 0, envelopes);
+    if (write_peer(peer, out)) {
+      m_flushes_->inc();
+      m_envelopes_->inc(envelopes);
+      m_frames_->inc(out.frames.size());
+      m_bytes_->inc(bytes);
+      for (const Frame& frame : out.frames) {
+        m_frame_envs_->record(static_cast<double>(frame.envelopes));
+        m_frame_bytes_->record(static_cast<double>(frame.bytes.size()));
+      }
+    } else {
+      dropped_sends_.fetch_add(envelopes, std::memory_order_relaxed);
+      m_send_drops_->inc(envelopes);
+    }
+    out.frames.clear();
+  }
+  dirty_.clear();
+}
+
+bool TcpHost::write_peer(NodeId peer, Outbound& out) {
+  // Dialable endpoint first, with one retry on a fresh connection: a cached
+  // connection may be stale (the peer restarted). The retry resends the
+  // whole flush; the old connection carries at most a truncated frame,
+  // which the receiver discards.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const int fd = dial(peer, out);
+    if (fd < 0) break;  // no endpoint or dial failed: learned-path fallback
+    if (write_frames(fd, out.frames)) return true;
     ::close(fd);
-    peer_fds_.erase(peer);
+    out.fd = -1;
   }
-  // Learned inbound connection (peers with no registered endpoint). The fd
-  // belongs to its reader thread, which takes peers_mu_ before unmapping,
-  // so it cannot be closed while we hold the lock; a failed write only
-  // drops the mapping.
-  auto it = learned_fds_.find(peer);
-  if (it == learned_fds_.end()) return false;
-  if (wire::write_all(it->second, w.data(), w.size())) {
-    m_envelopes_->inc();
-    m_frames_->inc();
-    m_bytes_->inc(w.size());
-    return true;
-  }
-  learned_fds_.erase(it);
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// Asynchronous path (wire batch > 1): bounded queues + writer pool
-// ---------------------------------------------------------------------------
-
-std::vector<std::uint8_t> TcpHost::pool_get() {
-  bd::LockGuard lock(pool_mu_);
-  if (pool_.empty()) return {};
-  std::vector<std::uint8_t> buf = std::move(pool_.back());
-  pool_.pop_back();
-  return buf;
-}
-
-void TcpHost::pool_put(std::vector<std::uint8_t> buf) {
-  buf.clear();
-  bd::LockGuard lock(pool_mu_);
-  if (pool_.size() < 2 * wire_.queue_capacity) pool_.push_back(std::move(buf));
-}
-
-bool TcpHost::enqueue_async(NodeId peer, const Envelope& env) {
-  PeerQueue* q = nullptr;
+  // Learned inbound connection (a peer with no registered endpoint). Its
+  // reader thread owns the fd and unmaps it under peers_mu_ before closing
+  // it, so a duplicate taken under the lock keeps the socket open for the
+  // write without holding the lock across it.
+  int fd = -1;
   {
     bd::LockGuard lock(peers_mu_);
-    // A peer that is neither dialable nor learned can never be flushed:
-    // drop at enqueue, same contract as the synchronous path.
-    if (peers_.find(peer) == peers_.end() &&
-        learned_fds_.find(peer) == learned_fds_.end()) {
-      return false;
-    }
-    auto it = queues_.find(peer);
-    if (it == queues_.end()) {
-      it = queues_.emplace(peer, std::make_unique<PeerQueue>(peer)).first;
-      const std::string prefix = "wire.peer" + std::to_string(peer);
-      it->second->depth = &wire_metrics_.gauge(prefix + ".queue_depth");
-      it->second->high_water =
-          &wire_metrics_.gauge(prefix + ".queue_high_water");
-    }
-    q = it->second.get();
+    const auto it = learned_fds_.find(peer);
+    if (it == learned_fds_.end()) return false;
+    fd = ::fcntl(it->second, F_DUPFD_CLOEXEC, 0);
   }
-  // Serialize once, into a pooled buffer the writer hands back after the
-  // flush.
-  serde::Writer w;
-  w.adopt(pool_get());
-  wire::build_body(w, env);
-  std::vector<std::uint8_t> buf = w.take();
-  bool make_dirty = false;
+  if (fd < 0) return false;
+  const bool ok = write_frames(fd, out.frames);
+  ::close(fd);
+  return ok;
+}
+
+int TcpHost::dial(NodeId peer, Outbound& out) {
+  if (out.fd >= 0) return out.fd;
+  TcpEndpoint endpoint;
   {
-    bd::LockGuard lock(q->mu);
-    if (q->pending.size() >= wire_.queue_capacity) {
-      m_queue_drops_->inc();
-      // (buf returns to the pool below)
-    } else {
-      q->pending.push_back(std::move(buf));
-      const auto depth = static_cast<double>(q->pending.size());
-      q->depth->set(depth);
-      q->high_water->record_max(depth);
-      if (!q->draining) {
-        q->draining = true;
-        make_dirty = true;
-      }
-    }
+    bd::LockGuard lock(peers_mu_);
+    const auto it = peers_.find(peer);
+    if (it == peers_.end()) return -1;
+    endpoint = it->second;
   }
-  if (!buf.empty()) {  // not consumed: the bounded queue rejected it
-    pool_put(std::move(buf));
-    return false;
+  {
+    bd::LockGuard lock(write_mu_);
+    if (closing_) return -1;  // no new connections while stopping
   }
-  if (make_dirty) {
-    {
-      bd::LockGuard lock(writers_mu_);
-      dirty_.push_back(q);
-    }
-    writers_cv_.notify_one();
-  }
-  return true;
+  out.fd = connect_endpoint(endpoint);
+  if (out.fd >= 0) m_connects_->inc();
+  return out.fd;
 }
 
-void TcpHost::writer_loop() {
-  obs::Recorder::bind_node(self_);
-  obs::Recorder::label_thread("node" + std::to_string(self_) +
-                              ".wire.writer");
-  while (true) {
-    PeerQueue* q = nullptr;
-    {
-      bd::UniqueLock lock(writers_mu_);
-      while (!writers_stop_.load(std::memory_order_acquire) &&
-             dirty_.empty()) {
-        writers_cv_.wait(lock);
-      }
-      if (dirty_.empty()) return;  // stopping and nothing left to drain
-      q = dirty_.front();
-      dirty_.pop_front();
-    }
-    if (wire_.flush_interval > 0.0) {
-      // Linger briefly when the batch is not full yet: trading a bounded
-      // delay for fewer, fuller frames.
-      bool partial;
-      {
-        bd::LockGuard lock(q->mu);
-        partial = q->pending.size() < static_cast<std::size_t>(wire_.batch);
-      }
-      if (partial) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(wire_.flush_interval));
-        bd::UniqueLock lock(writers_mu_);
-        while (!writers_stop_.load() &&
-               writers_cv_.wait_until(lock, deadline) !=
-                   std::cv_status::timeout) {
-        }
-      }
-    }
-    drain_peer(*q);
+bool TcpHost::write_frames(int fd, const std::vector<Frame>& frames) {
+  iov_.clear();
+  for (const Frame& frame : frames) {
+    iov_.push_back({const_cast<std::uint8_t*>(frame.bytes.data()),
+                    frame.bytes.size()});
   }
-}
-
-void TcpHost::drain_peer(PeerQueue& q) {
-  while (true) {
-    std::vector<std::vector<std::uint8_t>> bufs;
-    {
-      bd::LockGuard lock(q.mu);
-      if (q.pending.empty()) {
-        // Only here does the peer stop being "dirty": any enqueue that
-        // happened while we were flushing is either in `pending` (we loop)
-        // or will re-queue the peer (draining is false again).
-        q.draining = false;
-        q.depth->set(0.0);
-        return;
-      }
-      bufs.assign(std::make_move_iterator(q.pending.begin()),
-                  std::make_move_iterator(q.pending.end()));
-      q.pending.clear();
-      q.depth->set(0.0);
-    }
-    std::size_t dropped = 0;
-    {
-      obs::ScopedSpan flush_span(rec::flush(), 0, bufs.size());
-      dropped = flush_buffers(q, bufs);
-    }
-    if (dropped > 0) {
-      dropped_sends_.fetch_add(dropped, std::memory_order_relaxed);
-      m_send_drops_->inc(dropped);
-    }
-    for (std::vector<std::uint8_t>& b : bufs) pool_put(std::move(b));
+  {
+    bd::LockGuard lock(write_mu_);
+    if (closing_) return false;
+    writing_fd_ = fd;
   }
-}
-
-std::size_t TcpHost::flush_buffers(
-    PeerQueue& q, std::vector<std::vector<std::uint8_t>>& bufs) {
-  // Group the drained envelopes into frames of up to `batch` envelopes
-  // (bounded by the max frame size), then gather headers + bodies into one
-  // sendmsg per flush.
-  struct Group {
-    std::size_t begin = 0, end = 0;
-    std::uint32_t bytes = 0;
-  };
-  constexpr std::uint32_t kMaxBody =
-      wire::kMaxFrame - static_cast<std::uint32_t>(wire::kFrameOverhead);
-  std::vector<Group> groups;
-  for (std::size_t i = 0; i < bufs.size();) {
-    Group g{i, i, 0};
-    while (g.end < bufs.size() &&
-           g.end - g.begin < static_cast<std::size_t>(wire_.batch) &&
-           (g.end == g.begin ||
-            g.bytes + bufs[g.end].size() <= kMaxBody)) {
-      g.bytes += static_cast<std::uint32_t>(bufs[g.end].size());
-      ++g.end;
-    }
-    groups.push_back(g);
-    i = g.end;
-  }
-  std::vector<std::array<std::uint8_t, 8>> headers(groups.size());
-  std::vector<::iovec> iov;
-  iov.reserve(groups.size() + bufs.size());
-  std::uint64_t total_bytes = 0;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const Group& g = groups[gi];
-    wire::fill_header(headers[gi].data(), g.bytes, self_);
-    iov.push_back({headers[gi].data(), 8});
-    for (std::size_t j = g.begin; j < g.end; ++j) {
-      iov.push_back({bufs[j].data(), bufs[j].size()});
-    }
-    total_bytes += 8 + g.bytes;
-  }
-  if (!flush_iovecs(q, iov)) return bufs.size();
-  m_flushes_->inc();
-  m_envelopes_->inc(bufs.size());
-  m_frames_->inc(groups.size());
-  m_bytes_->inc(total_bytes);
-  for (const Group& g : groups) {
-    m_frame_envs_->record(static_cast<double>(g.end - g.begin));
-    m_frame_bytes_->record(static_cast<double>(8 + g.bytes));
-  }
-  return 0;
-}
-
-bool TcpHost::flush_iovecs(PeerQueue& q, const std::vector<::iovec>& iov) {
-  // Writer-owned connection with one retry on a fresh dial; a failed write
-  // resends the whole flush from the start on the new connection (the old
-  // one carries at most a truncated frame, which the receiver discards).
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    // Shutting down: don't redial a peer we failed to reach; the drain
-    // loop counts the remainder as dropped and exits.
-    if (attempt > 0 && writers_stop_.load(std::memory_order_relaxed)) break;
-    {
-      bd::LockGuard lock(q.mu);
-      if (q.redial) {
-        const int stale = q.fd.exchange(-1);
-        if (stale >= 0) ::close(stale);
-      }
-      q.redial = false;
-    }
-    int fd = q.fd.load(std::memory_order_relaxed);
-    if (fd < 0) {
-      TcpEndpoint ep;
-      bool have_endpoint = false;
-      {
-        bd::LockGuard lock(peers_mu_);
-        auto it = peers_.find(q.id);
-        if (it != peers_.end()) {
-          ep = it->second;
-          have_endpoint = true;
-        }
-      }
-      if (!have_endpoint) break;  // not dialable: learned-path fallback
-      fd = connect_endpoint(ep);  // off the node thread, unlocked
-      if (fd < 0) break;
-      q.fd.store(fd);  // seq_cst: publish before checking for shutdown
-      if (writers_stop_.load()) {
-        // stop() may have finished its shutdown scan before this fd was
-        // published; blocking in sendmsg on it could hang the join. The
-        // seq_cst store/load pair guarantees we see the flag in that case.
-        q.fd.store(-1);
-        ::close(fd);
-        break;
-      }
-      m_connects_->inc();
-    }
-    std::vector<::iovec> scratch = iov;  // sendv_all consumes in place
-    if (sendv_all(fd, scratch.data(), scratch.size())) return true;
-    q.fd.store(-1, std::memory_order_relaxed);
-    ::close(fd);
-  }
-  // Learned inbound connection fallback, written under peers_mu_ so the
-  // owning reader cannot unmap-and-close the fd mid-write.
-  bd::LockGuard lock(peers_mu_);
-  auto it = learned_fds_.find(q.id);
-  if (it == learned_fds_.end()) return false;
-  std::vector<::iovec> scratch = iov;
-  if (sendv_all(it->second, scratch.data(), scratch.size())) return true;
-  learned_fds_.erase(it);
-  return false;
+  const bool ok = sendv_all(fd, iov_.data(), iov_.size());
+  bd::LockGuard lock(write_mu_);
+  writing_fd_ = -1;
+  return ok;
 }
 
 // ---------------------------------------------------------------------------

@@ -14,37 +14,44 @@
 //   u32  sender node id
 //   ...  one or more serialized Envelopes, back to back
 //
-// Outbound path. With WireConfig::batch == 1 (the default) every send()
-// serializes once into a reusable buffer and writes one single-envelope
-// frame synchronously — the historical per-message behaviour. With
-// batch > 1 the host switches to the asynchronous batched path:
+// Outbound path. There is one, and the node thread owns it. send() appends
+// the serialized envelope to the destination peer's outbound frames: a
+// multi-envelope frame per peer, capped at wire::kMaxFrame, a new frame when
+// the open one would pass the cap. The NodeLoop then calls flush() after
+// Node::start, after every task and after every timer callback, which
+// writes each peer that was sent to with one sendmsg() of all its frames.
+// So a message never waits past the end of the handler that sent it; a
+// handler that sends once produces exactly wire::build_frame's bytes, and a
+// matcher completion that fans out hundreds of deliveries to one dispatcher
+// produces one syscall and one reader task at the far end.
 //
-//   node thread        serialize once into a pooled buffer, push onto the
-//                      peer's bounded send queue (drop + count when full),
-//                      mark the peer dirty, wake a writer
-//   writer pool        drains dirty peers: dials the peer if needed (so
-//                      connects never block the node thread), coalesces up
-//                      to `batch` queued envelopes into each frame, and
-//                      flushes many frames with one sendmsg() — amortizing
-//                      the syscall, not just the copy
+// The flush is a blocking write on the node thread. It dials a peer with no
+// connection (one retry on a fresh dial when the cached connection proves
+// stale), then falls back to the inbound connection the peer last spoke on
+// (its learned return path). Transport semantics match the NodeContext
+// contract: sends are unreliable-by-contract, an unreachable peer or a
+// failed write drops the flush's envelopes, and failure detection happens
+// at the protocol layer. Drops are counted in dropped_sends() and in
+// wire.send_error_drops. stop() unblocks a write stuck against a peer that
+// stopped reading.
 //
-// Transport semantics match the NodeContext contract either way: sends are
-// asynchronous and unreliable-by-contract (a broken or unreachable peer
-// drops the message, a full send queue drops the newest envelope; failure
-// detection happens at the protocol layer). Drops are counted in
-// dropped_sends() and in the host's wire metrics registry.
+// Code outside the node (a test, a bench, a tool) must not call the
+// node's context; it hands a closure to post(), whose sends are flushed when
+// it returns.
 
 #include <sys/uio.h>
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/affinity.h"
+#include "common/serde.h"
 #include "common/thread_safety.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
@@ -63,31 +70,12 @@ struct TcpEndpoint {
 /// the outcome; never fails harder than leaving the limit unchanged.
 std::size_t raise_fd_limit(std::size_t want);
 
-/// Outbound wire-path tuning. The default (batch = 1) preserves strict
-/// per-message synchronous sends; batch > 1 enables the queued writer pool.
-struct WireConfig {
-  /// Maximum envelopes coalesced into one frame (and the fill target a
-  /// writer waits `flush_interval` for before flushing a partial batch).
-  int batch = 1;
-  /// How long a writer lingers for a batch to fill before flushing what is
-  /// queued (seconds). 0 flushes immediately on wake.
-  double flush_interval = 0.0;
-  /// Per-peer bounded send queue, in envelopes; the newest envelope is
-  /// dropped (and counted) when the queue is full — backpressure never
-  /// blocks the node thread.
-  std::size_t queue_capacity = 4096;
-  /// Writer pool size.
-  int writers = 2;
-
-  bool async() const { return batch > 1; }
-};
-
 class TcpHost {
  public:
   /// Binds the listening socket immediately (so port 0 resolves to a real
   /// ephemeral port readable via port()); call start() to begin serving.
   TcpHost(NodeId self, std::uint16_t listen_port, std::unique_ptr<Node> node,
-          std::uint64_t seed = 42, WireConfig wire = {});
+          std::uint64_t seed = 42);
   ~TcpHost();
 
   TcpHost(const TcpHost&) = delete;
@@ -97,11 +85,11 @@ class TcpHost {
   std::uint16_t port() const { return port_; }
 
   /// Registers/updates where a peer node can be reached. May be called
-  /// before or after start().
+  /// before or after start(); a changed endpoint is redialled on the next
+  /// flush to that peer.
   void add_peer(NodeId id, TcpEndpoint endpoint);
 
-  /// Starts the accept loop, the node thread (which calls Node::start),
-  /// and the writer pool (async wire path only).
+  /// Starts the accept loop and the node thread (which calls Node::start).
   void start();
 
   /// Stops serving and joins all threads; Node::stop runs on the node
@@ -126,8 +114,13 @@ class TcpHost {
   /// Safe from any thread; dropped before start() and after stop() begins.
   void inject(NodeId from, Envelope&& env);
 
-  /// Host-level instrumentation: bytes/frames/envelopes sent, frame
-  /// batch-size histogram, per-peer queue depth gauges, the offload pool's
+  /// Runs `fn` on the node thread, from any thread: how code outside the
+  /// node sends through its context. The sends `fn` makes are flushed when
+  /// it returns. Refused (false) before start() and once stop() begins.
+  bool post(std::function<void()> fn);
+
+  /// Host-level instrumentation: bytes/frames/envelopes sent, flushes,
+  /// drops, frame envelope-count and byte histograms, the offload pool's
   /// exec.* instruments, and the node inbox's runtime.inbox_depth /
   /// runtime.inbox_high_water gauges (refreshed by this call). Safe from
   /// any thread; bluedove_noded merges this into its stats export.
@@ -146,55 +139,37 @@ class TcpHost {
                             double timeout_sec = 5.0);
 
  private:
-  /// Per-peer outbound state for the async wire path. Stable address (held
-  /// by unique_ptr, never erased before stop), so writers can reference it
-  /// outside the peers lock. The `draining` flag makes each peer drained by
-  /// at most one writer at a time: it stays true from the moment the peer
-  /// is queued dirty until a writer observes an empty queue under `mu`.
-  struct PeerQueue {
-    explicit PeerQueue(NodeId peer) : id(peer) {}
-    const NodeId id;
-    bd::Mutex mu;
-    /// Serialized envelopes awaiting a writer.
-    std::deque<std::vector<std::uint8_t>> pending BD_GUARDED_BY(mu);
-    bool draining BD_GUARDED_BY(mu) = false;
-    /// Writer-owned outbound connection. Atomic (seq_cst) because stop()
-    /// scans it to shutdown() a socket a writer may be blocked on: the
-    /// writer stores the fd then checks writers_stop_, stop() sets
-    /// writers_stop_ then scans — one side always observes the other.
-    std::atomic<int> fd{-1};
-    /// Endpoint changed; writer must reconnect.
-    bool redial BD_GUARDED_BY(mu) = false;
-    /// Gauges are registered under peers_mu_ before the queue becomes
-    /// reachable to writers, then only read through stable pointers.
-    obs::Gauge* depth = nullptr;       ///< wire.peer<id>.queue_depth
-    obs::Gauge* high_water = nullptr;  ///< wire.peer<id>.queue_high_water
+  /// One outbound frame: an 8-byte header (length + sender, filled at
+  /// flush time) followed by serialized envelopes.
+  struct Frame {
+    std::vector<std::uint8_t> bytes;
+    std::uint32_t envelopes = 0;
+  };
+  /// Per-peer outbound state, owned by the node thread.
+  struct Outbound {
+    /// Dialled connection, -1 when there is none.
+    int fd = -1;
+    /// Frames not yet written; the last one is open for more envelopes.
+    std::vector<Frame> frames;
   };
 
   void accept_loop();
   void reader_loop(int fd);
-  void writer_loop();
 
-  bool send_to(NodeId peer, const Envelope& env);
-  bool send_sync(NodeId peer, const Envelope& env);
-  bool enqueue_async(NodeId peer, const Envelope& env);
-  /// Writes everything currently queued for `p`; returns when the queue is
-  /// empty (drops what cannot be written).
-  void drain_peer(PeerQueue& p);
-  /// Sends `bufs` to the peer as coalesced frames over its writer-owned
-  /// connection (dialing / redialing as needed). Returns envelopes dropped.
-  std::size_t flush_buffers(PeerQueue& p,
-                            std::vector<std::vector<std::uint8_t>>& bufs);
-  /// Writes pre-built iovecs to the peer's connection with one reconnect
-  /// retry (the cached connection may be stale).
-  bool flush_iovecs(PeerQueue& p, const std::vector<::iovec>& iov);
-  int connect_peer(NodeId peer) BD_REQUIRES(peers_mu_);
-
-  std::vector<std::uint8_t> pool_get();
-  void pool_put(std::vector<std::uint8_t> buf);
+  BD_NODE_THREAD void send_to(NodeId peer, const Envelope& env);
+  /// Writes every peer sent to since the last flush.
+  BD_NODE_THREAD void flush();
+  /// Writes `out.frames` to the peer: dialled connection with one retry,
+  /// then the learned return path. False when the frames were dropped.
+  BD_NODE_THREAD bool write_peer(NodeId peer, Outbound& out);
+  /// The dialled connection to `peer`, dialling when there is none; -1 when
+  /// the peer has no endpoint, the dial fails or the host is stopping.
+  BD_NODE_THREAD int dial(NodeId peer, Outbound& out);
+  /// One sendmsg() of all `frames` to `fd`, published to stop() so it can
+  /// unblock the write. False on failure or once stop() has begun.
+  BD_NODE_THREAD bool write_frames(int fd, const std::vector<Frame>& frames);
 
   NodeId self_;
-  WireConfig wire_;
 
   // Written by the constructor and stop(), read by accept_loop() while it
   // blocks in accept(); atomic so the shutdown handshake (close the
@@ -204,34 +179,31 @@ class TcpHost {
 
   mutable bd::Mutex peers_mu_;
   std::map<NodeId, TcpEndpoint> peers_ BD_GUARDED_BY(peers_mu_);
-  /// Cached outgoing connections (sync path).
-  std::map<NodeId, int> peer_fds_ BD_GUARDED_BY(peers_mu_);
-  /// Async path. The map is guarded; the pointed-to queues are stable
-  /// (never erased before stop) and carry their own lock.
-  std::map<NodeId, std::unique_ptr<PeerQueue>> queues_
-      BD_GUARDED_BY(peers_mu_);
   /// Learned return paths: sender id -> inbound socket it last spoke on.
   /// Lets the node reply to peers with no registered endpoint (e.g. the
   /// `bluedove_cli stats` scraper) over the connection they opened. The
-  /// fds are owned by their reader threads, never closed through this map;
-  /// writes to them happen under peers_mu_, which the owning reader also
-  /// takes before unmapping (so the fd cannot be closed mid-write).
+  /// fds are owned by their reader threads, which unmap them under
+  /// peers_mu_ before closing; the node thread writes on a duplicate taken
+  /// under the lock, so it holds no lock across the write.
   std::map<NodeId, int> learned_fds_ BD_GUARDED_BY(peers_mu_);
 
-  // Writer pool: queue of dirty peers + shutdown flag.
-  bd::Mutex writers_mu_;
-  bd::CondVar writers_cv_;
-  std::deque<PeerQueue*> dirty_ BD_GUARDED_BY(writers_mu_);
-  /// Set under writers_mu_ (cv discipline) but also read lock-free from
-  /// flush_iovecs so a writer blocked against a slow peer gives up instead
-  /// of redialing during shutdown.
-  std::atomic<bool> writers_stop_{false};
-  std::vector<std::thread> writer_threads_;
+  /// Node-thread outbound state: per-peer frames and connections, the peers
+  /// sent to since the last flush, and reused scratch. stop() closes the
+  /// connections only after the node thread has joined.
+  std::map<NodeId, Outbound> outbound_;
+  std::vector<NodeId> dirty_;
+  serde::Writer body_;
+  std::vector<::iovec> iov_;
 
-  // Pool of serialized-envelope buffers recycled between node thread and
-  // writers (capacity is retained across reuse).
-  bd::Mutex pool_mu_;
-  std::vector<std::vector<std::uint8_t>> pool_ BD_GUARDED_BY(pool_mu_);
+  /// The fd the node thread is writing to (-1 when none) and whether stop()
+  /// has begun. The node thread publishes the fd before the write and
+  /// closes it only after clearing it; stop() sets `closing_` and shuts the
+  /// published fd down, all under write_mu_, which nobody holds across a
+  /// write. So a write either sees `closing_` and fails fast, or is
+  /// unblocked by the shutdown.
+  bd::Mutex write_mu_;
+  int writing_fd_ BD_GUARDED_BY(write_mu_) = -1;
+  bool closing_ BD_GUARDED_BY(write_mu_) = false;
 
   std::thread accept_thread_;
   bd::Mutex readers_mu_;
@@ -246,8 +218,7 @@ class TcpHost {
   obs::Counter* m_envelopes_ = nullptr;   ///< envelopes put on the wire
   obs::Counter* m_frames_ = nullptr;      ///< frames put on the wire
   obs::Counter* m_bytes_ = nullptr;       ///< bytes put on the wire
-  obs::Counter* m_flushes_ = nullptr;     ///< writer drain flushes (sendmsg batches)
-  obs::Counter* m_queue_drops_ = nullptr; ///< envelopes dropped: queue full
+  obs::Counter* m_flushes_ = nullptr;     ///< per-peer flushes (sendmsg calls)
   obs::Counter* m_send_drops_ = nullptr;  ///< envelopes dropped: write failed
   obs::Counter* m_connects_ = nullptr;    ///< outbound dials that succeeded
   /// Zero-copy accounting: payload bytes the receive path had to copy out

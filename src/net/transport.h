@@ -10,7 +10,7 @@
 //     send() travels: runtime::ThreadCluster hands the envelope to another
 //     loop in the same process (drives the examples and threaded
 //     integration tests), net::TcpHost puts it on the wire to another
-//     process (drives bluedove_noded).
+//     process when the sending handler returns (drives bluedove_noded).
 
 #include <cstddef>
 #include <cstdint>

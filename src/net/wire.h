@@ -38,8 +38,8 @@ inline constexpr std::size_t kFrameOverhead = 4;
 void build_frame(serde::Writer& w, NodeId sender, const Envelope& env);
 
 /// Serializes just the envelope bytes (no header) into `w`, cleared first.
-/// The transport queues these per peer and assembles multi-envelope frames
-/// at flush time.
+/// The transport appends these to per-peer multi-envelope frames and fills
+/// each frame's header at flush time.
 void build_body(serde::Writer& w, const Envelope& env);
 
 /// Fills an 8-byte frame header for a frame whose body (everything after

@@ -89,7 +89,8 @@ class Recorder {
   static NodeId bound_node();
 
   /// Human label for the calling thread's ring ("node1000", "worker2",
-  /// "wire.writer"); shows up as the thread name in exported traces.
+  /// "node1000.wire.reader"); shows up as the thread name in exported
+  /// traces.
   static void label_thread(const std::string& label);
 
   // --- hot-path event emitters ---------------------------------------------

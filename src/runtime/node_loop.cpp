@@ -11,10 +11,11 @@ namespace bluedove::runtime {
 NodeLoop::NodeLoop(NodeId self, std::unique_ptr<Node> node, Send send,
                    std::uint64_t seed, Clock::time_point epoch,
                    std::size_t lane_capacity,
-                   obs::MetricsRegistry* exec_metrics)
+                   obs::MetricsRegistry* exec_metrics, Flush flush)
     : self_(self),
       node_(std::move(node)),
       send_(std::move(send)),
+      flush_(std::move(flush)),
       seed_(seed),
       epoch_(epoch),
       lane_capacity_(lane_capacity),
@@ -93,6 +94,7 @@ void NodeLoop::run() {
   obs::Recorder::bind_node(self_);
   obs::Recorder::label_thread("node" + std::to_string(self_));
   node_->start(*this);
+  flush_();
   bd::UniqueLock lock(mu_);
   while (true) {
     // Fire due timers.
@@ -102,6 +104,7 @@ void NodeLoop::run() {
       timers_.erase(timers_.begin());
       lock.unlock();
       fn();
+      flush_();
       lock.lock();
     }
     if (stopping_) break;
@@ -111,6 +114,7 @@ void NodeLoop::run() {
       inbox_stats_.on_dequeue();
       lock.unlock();
       task();
+      flush_();
       lock.lock();
       continue;
     }

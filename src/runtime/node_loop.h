@@ -13,6 +13,10 @@
 // NodeLoop is also the node's NodeContext, except for send(): the host
 // supplies that as a callback, because that is the one thing the hosts do
 // differently (an in-process hand-off to another loop, or the TCP wire).
+// A host that buffers sends also supplies a flush callback, which the loop
+// runs on the node thread after Node::start, after every task and after
+// every timer callback, so no message waits past the end of the handler
+// that sent it (TcpHost coalesces each handler's sends per peer this way).
 
 #include <chrono>
 #include <cstddef>
@@ -41,14 +45,19 @@ class NodeLoop final : public NodeContext {
   using Task = std::function<void()>;
   /// Routes node-originated sends; called on the node thread.
   using Send = std::function<void(NodeId to, Envelope&& env)>;
+  /// Writes out what the handler that just returned sent; called on the
+  /// node thread.
+  using Flush = std::function<void()>;
 
   /// `epoch` is the zero of now(). `seed` seeds the node's Rng and its
   /// offload workers. `lane_capacity` bounds each offload lane.
   /// `exec_metrics` (optional, not owned, must outlive the loop) receives
-  /// the offload pool's exec.* instruments.
+  /// the offload pool's exec.* instruments. `flush` runs after
+  /// Node::start, every task and every timer callback.
   NodeLoop(NodeId self, std::unique_ptr<Node> node, Send send,
            std::uint64_t seed, Clock::time_point epoch,
-           std::size_t lane_capacity, obs::MetricsRegistry* exec_metrics);
+           std::size_t lane_capacity, obs::MetricsRegistry* exec_metrics,
+           Flush flush = [] {});
   /// Stops the loop if the host has not.
   ~NodeLoop() override;
 
@@ -109,6 +118,7 @@ class NodeLoop final : public NodeContext {
   const NodeId self_;
   std::unique_ptr<Node> node_;
   Send send_;
+  Flush flush_;
   const std::uint64_t seed_;
   const Clock::time_point epoch_;
   const std::size_t lane_capacity_;

@@ -8,10 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "common/affinity.h"
 #include "gossip/gossiper.h"
 #include "harness/experiment.h"
 #include "index/subscription_store.h"
+#include "net/tcp_transport.h"
 #include "obs/audit.h"
 
 namespace bluedove {
@@ -289,6 +295,46 @@ TEST_F(AuditTest, AffinityChecksBindingAndContextIdentity) {
   affinity::set_enabled(false);
   affinity::assert_node_thread(&ctx_a, "test-entry");
   EXPECT_EQ(affinity::violations(), 3u);
+}
+
+/// Exposes its context so a test can send through it.
+class ContextNode final : public Node {
+ public:
+  void start(NodeContext& ctx) override { ctx_.store(&ctx); }
+  void on_receive(NodeId, Envelope) override {}
+  NodeContext* ctx() const { return ctx_.load(); }
+
+ private:
+  std::atomic<NodeContext*> ctx_{nullptr};
+};
+
+TEST_F(AuditTest, HostSendOffNodeThreadTrips) {
+  // TcpHost's send path belongs to the node thread: a send posted there is
+  // clean, the same send from the test's own thread is a violation.
+  net::TcpHost host(1, 0, std::make_unique<ContextNode>());
+  host.start();
+  const auto* node = host.node_as<ContextNode>();
+  while (node->ctx() == nullptr) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  NodeContext* ctx = node->ctx();
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+  host.post([&] {
+    ctx->send(99, Envelope::of(JoinRequest{}));  // unknown peer: dropped
+    parked.set_value();
+    released.wait();
+  });
+  parked.get_future().wait();
+  EXPECT_EQ(affinity::violations(), 0u);
+  // The node thread is parked inside the task above, so this off-thread
+  // send races nothing; it only trips the checker.
+  ctx->send(99, Envelope::of(JoinRequest{}));
+  EXPECT_EQ(affinity::violations(), 1u);
+  release.set_value();
+  host.stop();
+  EXPECT_EQ(host.dropped_sends(), 2u);
 }
 
 // ---------------------------------------------------------------------------

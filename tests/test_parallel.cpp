@@ -626,12 +626,7 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
   matcher->set_bootstrap(bootstrap_table({kMatcher}, domains));
   net::TcpHost matcher_host(kMatcher, 0, std::move(matcher));
 
-  net::WireConfig wire;
-  wire.batch = 16;
-  wire.flush_interval = 0.0005;
-  wire.queue_capacity = 16384;
-  net::TcpHost client_host(kClient, 0, std::make_unique<AckCountingNode>(),
-                           42, wire);
+  net::TcpHost client_host(kClient, 0, std::make_unique<AckCountingNode>());
   auto* client = client_host.node_as<AckCountingNode>();
   matcher_host.add_peer(kClient, {"127.0.0.1", client_host.port()});
   client_host.add_peer(kMatcher, {"127.0.0.1", matcher_host.port()});
@@ -640,6 +635,8 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
   ASSERT_TRUE(eventually([&] { return client->ctx() != nullptr; }));
   NodeContext* ctx = client->ctx();
 
+  // Envelopes are built here and sent from one node-thread task.
+  std::vector<Envelope> envs;
   Rng rng(5);
   for (SubscriptionId id = 1; id <= 2000; ++id) {
     Subscription sub;
@@ -650,8 +647,8 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
       const double lo = rng.uniform(0.0, 90.0);
       sub.ranges.push_back(Range{lo, lo + 10.0});
     }
-    ctx->send(kMatcher, Envelope::of(StoreSubscription{
-                            std::move(sub), static_cast<DimId>(id % kDims)}));
+    envs.push_back(Envelope::of(StoreSubscription{
+        std::move(sub), static_cast<DimId>(id % kDims)}));
   }
   const int kRequests = 2000;
   MatchRequestBatch batch;
@@ -666,10 +663,13 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
     req.reply_to = kClient;
     batch.reqs.push_back(std::move(req));
     if (batch.reqs.size() == 32 || i + 1 == kRequests) {
-      ctx->send(kMatcher, Envelope::of(std::move(batch)));
+      envs.push_back(Envelope::of(std::move(batch)));
       batch = MatchRequestBatch{};
     }
   }
+  client_host.post([ctx, envs = std::move(envs)]() mutable {
+    for (Envelope& env : envs) ctx->send(kMatcher, std::move(env));
+  });
   ASSERT_TRUE(eventually([&] { return client->acks() >= kRequests; }, 60.0))
       << "acks " << client->acks();
 

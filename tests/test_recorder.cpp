@@ -71,7 +71,8 @@ TEST(Recorder, RingWrapKeepsNewestWindow) {
   });
   t.join();
   Recorder::set_default_ring_events(Recorder::kDefaultRingEvents);
-  const auto* ring = find_ring(Recorder::dump(), "rec.wrap");
+  const Recorder::Dump dump = Recorder::dump();
+  const auto* ring = find_ring(dump, "rec.wrap");
   ASSERT_NE(ring, nullptr);
   EXPECT_EQ(ring->written, 200u);
   ASSERT_EQ(ring->events.size(), std::size_t{64});  // capacity, newest only
@@ -124,7 +125,8 @@ TEST(Recorder, DisableStopsRecording) {
   t.join();
   Recorder::set_enabled(true);
   // label_thread registered the ring, but the disabled emitter wrote nothing.
-  const auto* ring = find_ring(Recorder::dump(), "rec.disabled");
+  const Recorder::Dump dump = Recorder::dump();
+  const auto* ring = find_ring(dump, "rec.disabled");
   ASSERT_NE(ring, nullptr);
   EXPECT_EQ(ring->written, 0u);
   EXPECT_TRUE(ring->events.empty());

@@ -82,7 +82,7 @@ TEST(TcpHost, HostToHostCarriesSenderIdBothWays) {
   a.start();
   b.start();
   ASSERT_TRUE(eventually([&] { return na->ctx() != nullptr; }));
-  na->ctx()->send(2, Envelope::of(ClientPublish{}));
+  a.post([na] { na->ctx()->send(2, Envelope::of(ClientPublish{})); });
   EXPECT_TRUE(eventually([&] { return nb->publishes.load() == 1; }));
   EXPECT_EQ(nb->last_from.load(), 1u);
   EXPECT_TRUE(eventually([&] { return na->total.load() == 1; }));
@@ -96,7 +96,7 @@ TEST(TcpHost, SendToUnknownPeerCountsDrop) {
   auto* na = a.node_as<CountingNode>();
   a.start();
   ASSERT_TRUE(eventually([&] { return na->ctx() != nullptr; }));
-  na->ctx()->send(99, Envelope::of(JoinRequest{}));
+  a.post([na] { na->ctx()->send(99, Envelope::of(JoinRequest{})); });
   EXPECT_TRUE(eventually([&] { return a.dropped_sends() == 1; }));
   a.stop();
 }
@@ -110,14 +110,14 @@ TEST(TcpHost, SendToDeadPeerCountsDropAndRecovers) {
   a.start();
   b->start();
   ASSERT_TRUE(eventually([&] { return na->ctx() != nullptr; }));
-  na->ctx()->send(2, Envelope::of(ClientPublish{}));
+  a.post([na] { na->ctx()->send(2, Envelope::of(ClientPublish{})); });
   EXPECT_TRUE(eventually(
       [&] { return b->node_as<CountingNode>()->publishes.load() == 1; }));
   b->stop();
   b.reset();
   // Now b is gone; sends drop (possibly after one buffered success).
   EXPECT_TRUE(eventually([&] {
-    na->ctx()->send(2, Envelope::of(ClientPublish{}));
+    a.post([na] { na->ctx()->send(2, Envelope::of(ClientPublish{})); });
     return a.dropped_sends() > 0;
   }));
   a.stop();

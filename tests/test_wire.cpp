@@ -1,16 +1,22 @@
-// Tests for the batched wire path: EnvelopeBatch framing (byte-exact
-// round-trips against the legacy format), the asynchronous bounded-queue
-// writer pool (fan-out, backpressure drops, stale-connection retry), and a
-// full dispatcher->matcher MatchRequestBatch pipeline over real sockets.
+// Tests for the wire path: EnvelopeBatch framing (byte-exact round-trips
+// against the legacy format), TcpHost's one outbound path (each node task's
+// sends coalesced per peer, frames capped at kMaxFrame, stale-connection
+// retry, stop() against a peer that stops reading), and a full
+// dispatcher->matcher MatchRequestBatch pipeline over real sockets.
 
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <functional>
+#include <future>
 #include <thread>
 
 #include "net/tcp_transport.h"
@@ -23,7 +29,6 @@ namespace {
 
 using net::TcpEndpoint;
 using net::TcpHost;
-using net::WireConfig;
 
 bool eventually(const std::function<bool()>& pred, double seconds = 10.0) {
   const auto deadline =
@@ -107,7 +112,7 @@ TEST(WireFraming, SingleEnvelopeFrameMatchesLegacyBytesExactly) {
 }
 
 TEST(WireFraming, MultiEnvelopeFrameRoundTripsByteExactly) {
-  // Assemble a 3-envelope frame the way the writer pool does: header +
+  // Assemble a 3-envelope frame the way TcpHost's flush does: header +
   // bodies, then parse it back and compare each envelope's serialization
   // byte for byte (the traced request carries hop timestamps, which must
   // survive).
@@ -230,18 +235,20 @@ TEST(WireZeroCopy, TcpReceivePathCountsZeroPayloadCopies) {
   TcpHost receiver(2, 0, std::move(recv_node));
   receiver.start();
 
-  WireConfig wire;
-  wire.batch = 16;
-  wire.flush_interval = 0.0005;
   auto send_node = std::make_unique<CountingNode>();
   CountingNode* sn = send_node.get();
-  TcpHost sender(1, 0, std::move(send_node), 42, wire);
+  TcpHost sender(1, 0, std::move(send_node));
   sender.add_peer(2, {"127.0.0.1", receiver.port()});
   sender.start();
   NodeContext* ctx = wait_ctx(sn);
 
-  for (int m = 0; m < kMsgs; ++m) {
-    ctx->send(2, sample_publish(static_cast<MessageId>(m)));
+  // Sixteen publishes per node task: multi-envelope frames.
+  for (int first = 0; first < kMsgs; first += 16) {
+    sender.post([ctx, first] {
+      for (int m = first; m < first + 16 && m < kMsgs; ++m) {
+        ctx->send(2, sample_publish(static_cast<MessageId>(m)));
+      }
+    });
   }
   EXPECT_TRUE(eventually([&] { return rn->publishes.load() == kMsgs; }))
       << "got " << rn->publishes.load();
@@ -253,8 +260,131 @@ TEST(WireZeroCopy, TcpReceivePathCountsZeroPayloadCopies) {
 }
 
 // ---------------------------------------------------------------------------
-// Async wire path over loopback
+// Outbound path over loopback
 // ---------------------------------------------------------------------------
+
+/// A bare loopback listener, for tests that need a peer speaking raw bytes
+/// (capturing frames, or accepting and never reading).
+class RawListener {
+ public:
+  RawListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+    socklen_t len = sizeof addr;
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    ::listen(fd_, 8);
+  }
+  ~RawListener() { ::close(fd_); }
+  RawListener(const RawListener&) = delete;
+  RawListener& operator=(const RawListener&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+  /// Accepts one connection within 10 s (-1 on timeout). Reads on it time
+  /// out after 10 s too, so a missing frame fails the test, not hangs it.
+  int accept_one() const {
+    pollfd pfd{fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, 10000) != 1) return -1;
+    const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    timeval tv{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    return fd;
+  }
+
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+};
+
+std::uint64_t counter(const TcpHost& host, const std::string& name) {
+  return host.wire_metrics().snapshot().counters.at(name);
+}
+
+TEST(WireFlush, LoneSendIsExactlyOneBuildFrame) {
+  RawListener peer;
+  auto node = std::make_unique<CountingNode>();
+  CountingNode* cn = node.get();
+  TcpHost sender(7, 0, std::move(node));
+  sender.add_peer(2, {"127.0.0.1", peer.port()});
+  sender.start();
+  NodeContext* ctx = wait_ctx(cn);
+
+  const Envelope env = traced_match_request(42);
+  sender.post([ctx, env] { ctx->send(2, env); });
+  const int fd = peer.accept_one();
+  ASSERT_GE(fd, 0);
+  serde::Writer expected;
+  net::wire::build_frame(expected, 7, env);
+  std::vector<std::uint8_t> got(expected.size());
+  ASSERT_TRUE(net::wire::read_all(fd, got.data(), got.size()));
+  EXPECT_EQ(got, expected.bytes());
+  // Nothing follows the one frame.
+  std::uint8_t extra = 0;
+  EXPECT_EQ(::recv(fd, &extra, 1, MSG_DONTWAIT), -1);
+  sender.stop();  // joins the node thread: its counters are final
+  EXPECT_EQ(counter(sender, "wire.frames_sent"), 1u);
+  ::close(fd);
+}
+
+TEST(WireFlush, OneTaskIsOneFlushSplitAtMaxFrame) {
+  // One node task sends N envelopes to one peer: they leave in one flush,
+  // packed greedily into frames of at most kMaxFrame. The payloads are big
+  // enough that the cap splits them.
+  constexpr int kEnvelopes = 3;
+  Message msg;
+  msg.id = 1;
+  msg.values = {1.0};
+  msg.payload = std::string(22u << 20, 'x');  // shared by every copy
+  const Envelope env = Envelope::of(ClientPublish{msg});
+  serde::Writer body;
+  net::wire::build_body(body, env);
+  // Expected frame lengths (the length word counts sender + envelopes).
+  std::vector<std::uint32_t> want;
+  for (int i = 0; i < kEnvelopes; ++i) {
+    if (want.empty() || want.back() + body.size() > net::wire::kMaxFrame) {
+      want.push_back(static_cast<std::uint32_t>(net::wire::kFrameOverhead));
+    }
+    want.back() += static_cast<std::uint32_t>(body.size());
+  }
+  ASSERT_GT(want.size(), 1u) << "payloads too small to split";
+
+  RawListener peer;
+  auto node = std::make_unique<CountingNode>();
+  CountingNode* cn = node.get();
+  TcpHost sender(1, 0, std::move(node));
+  sender.add_peer(2, {"127.0.0.1", peer.port()});
+  sender.start();
+  NodeContext* ctx = wait_ctx(cn);
+  sender.post([ctx, env] {
+    for (int i = 0; i < kEnvelopes; ++i) ctx->send(2, env);
+  });
+
+  const int fd = peer.accept_one();
+  ASSERT_GE(fd, 0);
+  std::vector<std::uint32_t> got;
+  std::vector<std::uint8_t> chunk(1 << 16);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    std::uint8_t len_bytes[4];
+    ASSERT_TRUE(net::wire::read_all(fd, len_bytes, 4));
+    std::uint32_t left = net::wire::read_frame_len(len_bytes);
+    got.push_back(left);
+    while (left > 0) {
+      const std::size_t n = std::min<std::size_t>(left, chunk.size());
+      ASSERT_TRUE(net::wire::read_all(fd, chunk.data(), n));
+      left -= static_cast<std::uint32_t>(n);
+    }
+  }
+  EXPECT_EQ(got, want);
+  sender.stop();  // joins the node thread: its counters are final
+  EXPECT_EQ(counter(sender, "wire.envelopes_sent"), kEnvelopes);
+  EXPECT_EQ(counter(sender, "wire.flushes"), 1u);
+  EXPECT_EQ(counter(sender, "wire.frames_sent"), want.size());
+  ::close(fd);
+}
 
 TEST(WireAsync, BatchedSendsAllDeliveredToManyPeers) {
   constexpr int kPeers = 5;
@@ -269,13 +399,9 @@ TEST(WireAsync, BatchedSendsAllDeliveredToManyPeers) {
     receivers.back()->start();
   }
 
-  WireConfig wire;
-  wire.batch = 16;
-  wire.flush_interval = 0.0005;
-  wire.queue_capacity = 8192;
   auto sender_node = std::make_unique<CountingNode>();
   CountingNode* sn = sender_node.get();
-  TcpHost sender(1, 0, std::move(sender_node), 42, wire);
+  TcpHost sender(1, 0, std::move(sender_node));
   for (int i = 0; i < kPeers; ++i) {
     sender.add_peer(static_cast<NodeId>(100 + i),
                     {"127.0.0.1", receivers[static_cast<std::size_t>(i)]
@@ -284,11 +410,16 @@ TEST(WireAsync, BatchedSendsAllDeliveredToManyPeers) {
   sender.start();
   NodeContext* ctx = wait_ctx(sn);
 
-  for (int m = 0; m < kPerPeer; ++m) {
-    for (int i = 0; i < kPeers; ++i) {
-      ctx->send(static_cast<NodeId>(100 + i),
-                sample_publish(static_cast<MessageId>(m)));
-    }
+  // Sixteen rounds per node task: each task flushes one frame per peer.
+  for (int first = 0; first < kPerPeer; first += 16) {
+    sender.post([ctx, first] {
+      for (int m = first; m < first + 16 && m < kPerPeer; ++m) {
+        for (int i = 0; i < kPeers; ++i) {
+          ctx->send(static_cast<NodeId>(100 + i),
+                    sample_publish(static_cast<MessageId>(m)));
+        }
+      }
+    });
   }
   for (int i = 0; i < kPeers; ++i) {
     EXPECT_TRUE(eventually([&] {
@@ -309,71 +440,106 @@ TEST(WireAsync, BatchedSendsAllDeliveredToManyPeers) {
   sender.stop();
 }
 
-TEST(WireAsync, SlowReaderBackpressureDropsAreBoundedAndCounted) {
-  // A raw listener that accepts connections but never reads: the kernel
-  // socket buffers fill, the writer blocks, and the bounded per-peer queue
-  // must start dropping (counted in dropped_sends) instead of growing or
-  // blocking the caller.
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
+/// Floods one peer with 16 KiB publishes from a self-rearming timer, so the
+/// node thread keeps sending until the wire blocks. With no target it
+/// floods the first peer that sends to it, over that peer's connection.
+class FloodNode final : public Node {
+ public:
+  explicit FloodNode(NodeId target) : target_(target) {}
+  void start(NodeContext& ctx) override {
+    ctx_ = &ctx;
+    if (target_ != kInvalidNode) flood();
+  }
+  void on_receive(NodeId from, Envelope) override {
+    if (target_ != kInvalidNode) return;
+    target_ = from;
+    flood();
+  }
+  std::uint64_t rounds() const { return rounds_.load(); }
+
+ private:
+  void flood() {
+    for (int i = 0; i < 16; ++i) {
+      Message msg;
+      msg.id = ++sent_;
+      msg.values = {1.0};
+      msg.payload = std::string(16 * 1024, 'x');
+      ctx_->send(target_, Envelope::of(ClientPublish{std::move(msg)}));
+    }
+    rounds_.fetch_add(1);
+    ctx_->set_timer(0.0, [this] { flood(); });
+  }
+
+  NodeContext* ctx_ = nullptr;
+  NodeId target_;
+  MessageId sent_ = 0;
+  std::atomic<std::uint64_t> rounds_{0};
+};
+
+/// Waits until the flood stalls (the node thread is blocked in a write),
+/// then requires stop() to return within a deadline. On a miss it runs
+/// `unblock` (which resets the peer's sockets) so the test fails instead of
+/// hanging.
+void expect_stop_returns(TcpHost& host, const FloodNode& node,
+                         const std::function<void()>& unblock) {
+  EXPECT_TRUE(eventually([&] {
+    const std::uint64_t before = node.rounds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    return before > 0 && node.rounds() == before;
+  })) << "the peer never pushed back";
+  auto stopped = std::async(std::launch::async, [&] { host.stop(); });
+  if (stopped.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "stop() hung on a write to a peer that stopped reading";
+    unblock();
+  }
+  stopped.get();
+  // The blocked flush failed and was counted.
+  EXPECT_GT(host.dropped_sends(), 0u);
+  EXPECT_GT(counter(host, "wire.send_error_drops"), 0u);
+}
+
+/// Closes `fd` with an RST, so the far end's blocked write fails at once.
+void reset_close(int fd) {
+  const linger hard{1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard, sizeof hard);
+  ::close(fd);
+}
+
+TEST(WireStop, StopReturnsWhileDialledPeerStopsReading) {
+  RawListener peer;
+  TcpHost sender(1, 0, std::make_unique<FloodNode>(2));
+  sender.add_peer(2, {"127.0.0.1", peer.port()});
+  sender.start();
+  const int fd = peer.accept_one();  // accepted, never read
+  ASSERT_GE(fd, 0);
+  std::atomic<bool> closed{false};
+  expect_stop_returns(sender, *sender.node_as<FloodNode>(), [&] {
+    reset_close(fd);
+    closed.store(true);
+  });
+  if (!closed.load()) ::close(fd);
+}
+
+TEST(WireStop, StopReturnsWhileLearnedPeerStopsReading) {
+  // The peer has no registered endpoint: it dials in, says hello, and the
+  // node floods it back over that inbound connection (the learned return
+  // path), which the peer never reads.
+  TcpHost sender(1, 0, std::make_unique<FloodNode>(kInvalidNode));
+  sender.start();
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
-  socklen_t len = sizeof addr;
-  ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  ::listen(listen_fd, 8);
-  std::atomic<bool> accepting{true};
-  std::thread acceptor([&] {
-    std::vector<int> fds;
-    while (accepting.load()) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) break;
-      fds.push_back(fd);  // accepted, never read
-    }
-    for (int fd : fds) ::close(fd);
+  addr.sin_port = htons(sender.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_TRUE(net::wire::send_frame(fd, 77, Envelope::of(JoinRequest{})));
+  std::atomic<bool> closed{false};
+  expect_stop_returns(sender, *sender.node_as<FloodNode>(), [&] {
+    reset_close(fd);
+    closed.store(true);
   });
-
-  WireConfig wire;
-  wire.batch = 8;
-  wire.queue_capacity = 64;  // small bound so backpressure bites fast
-  auto node = std::make_unique<CountingNode>();
-  CountingNode* cn = node.get();
-  TcpHost sender(1, 0, std::move(node), 42, wire);
-  sender.add_peer(2, {"127.0.0.1", ntohs(addr.sin_port)});
-  sender.start();
-  NodeContext* ctx = wait_ctx(cn);
-
-  // Large payloads fill the socket buffer quickly; keep sending until the
-  // queue overflows.
-  const std::string big(16 * 1024, 'x');
-  std::uint64_t sent = 0;
-  const bool dropped = eventually([&] {
-    for (int i = 0; i < 64; ++i) {
-      Message msg;
-      msg.id = ++sent;
-      msg.values = {1.0};
-      msg.payload = big;
-      ctx->send(2, Envelope::of(ClientPublish{std::move(msg)}));
-    }
-    return sender.dropped_sends() > 0;
-  });
-  EXPECT_TRUE(dropped);
-  const auto snap = sender.wire_metrics().snapshot();
-  EXPECT_GT(snap.counters.at("wire.queue_full_drops"), 0u);
-  // The queue bound held: at most capacity envelopes are ever in flight
-  // per peer.
-  const double high_water = snap.gauges.at("wire.peer2.queue_high_water");
-  EXPECT_LE(high_water, static_cast<double>(wire.queue_capacity));
-
-  // stop() must not hang on the writer blocked against the full socket.
-  sender.stop();
-  accepting.store(false);
-  ::shutdown(listen_fd, SHUT_RDWR);
-  ::close(listen_fd);
-  acceptor.join();
+  if (!closed.load()) ::close(fd);
 }
 
 TEST(WireSync, StaleConnectionRetryAfterPeerRestart) {
@@ -385,12 +551,12 @@ TEST(WireSync, StaleConnectionRetryAfterPeerRestart) {
 
   auto sender_node = std::make_unique<CountingNode>();
   CountingNode* sn = sender_node.get();
-  TcpHost sender(1, 0, std::move(sender_node));  // wire batch = 1: sync path
+  TcpHost sender(1, 0, std::move(sender_node));
   sender.add_peer(2, {"127.0.0.1", port});
   sender.start();
   NodeContext* ctx = wait_ctx(sn);
 
-  ctx->send(2, sample_publish(1));
+  sender.post([ctx] { ctx->send(2, sample_publish(1)); });
   ASSERT_TRUE(eventually([&] { return first->publishes.load() == 1; }));
 
   // Restart the peer on the same port: the sender's cached connection is
@@ -409,7 +575,8 @@ TEST(WireSync, StaleConnectionRetryAfterPeerRestart) {
 
   std::uint64_t next_id = 2;
   EXPECT_TRUE(eventually([&] {
-    ctx->send(2, sample_publish(static_cast<MessageId>(next_id++)));
+    const auto id = static_cast<MessageId>(next_id++);
+    sender.post([ctx, id] { ctx->send(2, sample_publish(id)); });
     return second->publishes.load() >= 1;
   }));
   restarted.stop();
@@ -440,16 +607,13 @@ TEST(WireCluster, MatchRequestBatchesFlowDispatcherToMatcher) {
   dcfg.table_pull_interval = 0.5;
   dcfg.wire_batch = 8;  // app-level MatchRequestBatch coalescing
   dcfg.wire_flush_interval = 0.002;
-  WireConfig dwire;
-  dwire.batch = 8;  // transport-level frame coalescing underneath
   TcpHost dispatcher_host(
       kDispatcher, 0,
       [&] {
         auto node = std::make_unique<DispatcherNode>(kDispatcher, dcfg);
         node->set_bootstrap(bootstrap_table(matcher_ids, domains));
         return node;
-      }(),
-      42, dwire);
+      }());
 
   MatcherConfig mcfg;
   mcfg.domains = domains;

@@ -65,9 +65,6 @@
 //   --subs=N           ClientSubscribes to file before publishing (default 0;
 //                      without subscriptions nothing matches or delivers)
 //   --payload=BYTES    message payload size (default 64)
-//   --wire-batch=N     envelopes per frame (default 32; 1 = sync sends)
-//   --wire-flush=SEC   writer linger for a partial batch (default 0.5 ms)
-//   --wire-queue=N     per-peer bounded send queue (default 65536)
 //
 // edge-blast options:
 //   --peer=host:port   the edge listener to connect to (required)
@@ -95,6 +92,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/cli.h"
 #include "common/rng.h"
@@ -550,8 +548,8 @@ int cmd_trace_selftest(const CliArgs& args) {
   return 0;
 }
 
-/// Node behind `blast`: publishes from the main thread through its context
-/// (TcpHost sends are thread-safe) and ignores whatever comes back.
+/// Node behind `blast`: sends what the main thread posts to its node
+/// thread and ignores whatever comes back.
 class BlastNode final : public Node {
  public:
   void start(NodeContext& ctx) override {
@@ -563,6 +561,10 @@ class BlastNode final : public Node {
  private:
   std::atomic<NodeContext*> ctx_{nullptr};
 };
+
+/// Envelopes `blast` hands the node thread per task; each task's sends go
+/// out together, as one frame.
+constexpr std::size_t kBlastPerTask = 32;
 
 int cmd_blast(const CliArgs& args) {
   const std::string peer = args.get("peer", "");
@@ -581,18 +583,11 @@ int cmd_blast(const CliArgs& args) {
   const std::string payload(
       static_cast<std::size_t>(args.get_int("payload", 64)), 'x');
 
-  net::WireConfig wire;
-  wire.batch = static_cast<int>(args.get_int("wire-batch", 32));
-  wire.flush_interval = args.get_double("wire-flush", 0.0005);
-  wire.queue_capacity =
-      static_cast<std::size_t>(args.get_int("wire-queue", 65536));
-  wire.writers = static_cast<int>(args.get_int("wire-writers", 2));
-
   auto node = std::make_unique<BlastNode>();
   BlastNode* blast = node.get();
   net::TcpHost host(static_cast<NodeId>(args.get_int("id", 999998)), 0,
                     std::move(node),
-                    static_cast<std::uint64_t>(args.get_int("seed", 1)), wire);
+                    static_cast<std::uint64_t>(args.get_int("seed", 1)));
   if (host.port() == 0) {
     std::fprintf(stderr, "blast: failed to bind a local port\n");
     return 1;
@@ -602,6 +597,15 @@ int cmd_blast(const CliArgs& args) {
   while (blast->ctx() == nullptr) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // Envelopes are built here and sent from node-thread tasks.
+  std::vector<Envelope> pending;
+  const auto send_pending = [&] {
+    host.post(
+        [ctx = blast->ctx(), target, envs = std::move(pending)]() mutable {
+          for (Envelope& env : envs) ctx->send(target, std::move(env));
+        });
+    pending.clear();
+  };
 
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   // Optional pre-load: file subscriptions so the publish storm actually
@@ -618,7 +622,8 @@ int cmd_blast(const CliArgs& args) {
       r.lo = std::max(0.0, center - sub_width / 2.0);
       r.hi = std::min(domain_len, center + sub_width / 2.0);
     }
-    blast->ctx()->send(target, Envelope::of(ClientSubscribe{std::move(sub)}));
+    pending.push_back(Envelope::of(ClientSubscribe{std::move(sub)}));
+    if (pending.size() == kBlastPerTask || s == subs) send_pending();
   }
   if (subs > 0) {
     // Let the stores propagate dispatcher -> matchers before publishing.
@@ -632,10 +637,10 @@ int cmd_blast(const CliArgs& args) {
     msg.values.resize(dims);
     for (auto& v : msg.values) v = rng.uniform(0.0, domain_len);
     msg.payload = payload;
-    blast->ctx()->send(target, Envelope::of(ClientPublish{std::move(msg)}));
+    pending.push_back(Envelope::of(ClientPublish{std::move(msg)}));
+    if (pending.size() == kBlastPerTask || i == count) send_pending();
   }
-  // Wait for the send queues to drain (everything either hit the wire or
-  // was dropped by backpressure), then report.
+  // Wait until everything either hit the wire or was dropped, then report.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration<double>(args.get_double("timeout", 30.0));
@@ -651,10 +656,10 @@ int cmd_blast(const CliArgs& args) {
   const obs::MetricsSnapshot snap = host.wire_metrics().snapshot();
   const auto frames = snap.counters.at("wire.frames_sent");
   std::printf(
-      "blast: %llu msgs in %.3fs -> %.0f msg/s  wire_batch=%d  frames=%llu "
+      "blast: %llu msgs in %.3fs -> %.0f msg/s  frames=%llu "
       "(%.1f env/frame)  bytes=%llu  dropped=%llu\n",
       (unsigned long long)sent, secs, static_cast<double>(sent) / secs,
-      wire.batch, (unsigned long long)frames,
+      (unsigned long long)frames,
       frames > 0 ? static_cast<double>(sent) / static_cast<double>(frames)
                  : 0.0,
       (unsigned long long)snap.counters.at("wire.bytes_sent"),

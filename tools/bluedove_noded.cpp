@@ -36,13 +36,12 @@
 //                                    (DESIGN.md §16). 0 = disabled.
 //   --edge-reactors=N                edge reactor threads (default 2)
 //   --trace-sample=R                 dispatcher trace sampling rate [0,1]
-//   --wire-batch=N                   envelopes coalesced per TCP frame; >1
-//                                    also enables the async writer pool and
-//                                    (dispatcher) MatchRequest batching
-//   --wire-flush=SEC                 max wait for a wire batch to fill
-//                                    (default 0.5 ms)
-//   --wire-queue=N                   per-peer bounded send queue (envelopes)
-//   --wire-writers=N                 writer pool size (default 2)
+//   --wire-batch=N                   (dispatcher) MatchRequests coalesced
+//                                    per matcher into one MatchRequestBatch
+//                                    (default 1 = no batching)
+//   --wire-flush=SEC                 (dispatcher) max wait for a
+//                                    MatchRequestBatch to fill (default
+//                                    0.5 ms)
 //   --stats-json=PATH                periodically write the node's metrics
 //                                    snapshot as JSON to PATH
 //   --stats-interval=SEC             snapshot cadence (default 5 s)
@@ -221,15 +220,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  net::WireConfig wire;
-  wire.batch = static_cast<int>(args.get_int("wire-batch", 1));
-  wire.flush_interval = args.get_double("wire-flush", 0.0005);
-  wire.queue_capacity =
-      static_cast<std::size_t>(args.get_int("wire-queue", 4096));
-  wire.writers = static_cast<int>(args.get_int("wire-writers", 2));
   net::TcpHost host(id, port, std::move(node),
-                    static_cast<std::uint64_t>(args.get_int("seed", 42)),
-                    wire);
+                    static_cast<std::uint64_t>(args.get_int("seed", 42)));
   if (host.port() == 0) {
     std::fprintf(stderr, "failed to bind port %u\n", port);
     return 1;

@@ -73,9 +73,9 @@ sleep 1  # listeners up
 
 echo "== traced traffic through both dispatchers =="
 "${cli}" blast --peer=127.0.0.1:$((base + 200)) --target-id=10 \
-  --subs=200 --count=2000 --wire-batch=1 >"${tmp}/blast0.log" 2>&1
+  --subs=200 --count=2000 >"${tmp}/blast0.log" 2>&1
 "${cli}" blast --peer=127.0.0.1:$((base + 201)) --target-id=11 \
-  --subs=200 --count=2000 --wire-batch=1 --seed=7 >"${tmp}/blast1.log" 2>&1
+  --subs=200 --count=2000 --seed=7 >"${tmp}/blast1.log" 2>&1
 sleep 2  # let matching + delivery drain
 
 echo "== live trace-dump from matcher ${m_ids[0]} =="

@@ -2,9 +2,10 @@
 # Builds the tree with ThreadSanitizer (-DBLUEDOVE_TSAN=ON) and runs the
 # concurrency-sensitive suites under it: the `runtime` label (the node loop
 # contract on both ThreadCluster and TcpHost), the TCP transport, the
-# batched wire path (writer pool, per-peer queues, buffer pool), the node
-# logic they drive, the obs metrics hot path (relaxed
-# atomics updated from matcher worker threads while snapshots read them),
+# wire path (node-thread flushes, learned-fd writes, stop() unblocking a
+# stalled write), the node logic they drive, the obs metrics hot path
+# (relaxed atomics updated from matcher worker threads while snapshots read
+# them),
 # and the `parallel` label (offload worker pool, work-stealing lanes,
 # epoch-guarded store, snapshot-vs-churn differential). The `cover` label
 # runs too: covering mutations are node-thread-only by design and the
