@@ -1,19 +1,23 @@
 // micro_parallel — loopback parallel-matching benchmark.
 //
 // One net::TcpHost matcher (flat-bucket index, match_batch=32) is preloaded
-// with N subscriptions over the wire, then blasted with MatchRequestBatch
-// envelopes from a client host. The matcher's --cores worth of offload
+// with N subscriptions over the wire, then blasted with MatchRequests sent
+// from one client-host task, which the wire coalesces into multi-envelope
+// frames. The matcher's --cores worth of offload
 // workers drain the per-dimension lanes; the bench times from first blast
 // send until matcher.matched has counted every request, sweeping
 // cores in {1, 2, 4, 8}.
 //
 // Emits BENCH_parallel.json (obs JSON schema): one msgs/sec gauge per
 // (cores, subs) cell, speedup gauges vs cores=1, executor job/steal
-// counters, and the host's hardware_concurrency (speedups can only
-// materialize when the machine actually has the cores).
+// counters, and the box it ran on: hardware_concurrency, nproc (the CPUs
+// this process may run on; speedups can only materialize when the machine
+// actually has the cores) and ndebug = 1 for an optimised build.
 //
 // Flags: --subs N (default 100000), --requests N (default 40000),
 //        --large (adds a 1,000,000-subscription sweep).
+
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -154,28 +158,22 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
   }
   const std::uint64_t base_matched = matched_count(matcher);
 
-  // Blast `requests` messages in MatchRequestBatch envelopes, cycling the
-  // serviced dimension so all lanes carry work.
-  const std::uint64_t kWireBatch = 32;
+  // Blast `requests` MatchRequests from one task, cycling the serviced
+  // dimension so all lanes carry work.
   const double t0 = now_sec();
-  std::uint64_t next_id = 2;
-  MatchRequestBatch batch;
-  batch.reqs.reserve(kWireBatch);
+  std::vector<Envelope> blast;
+  blast.reserve(requests);
   for (std::uint64_t i = 0; i < requests; ++i) {
     MatchRequest req;
-    req.msg.id = next_id++;
+    req.msg.id = i + 2;
     req.msg.values.reserve(kDims);
     for (std::size_t d = 0; d < kDims; ++d) {
       req.msg.values.push_back(rng.uniform(0.0, kDomainHi));
     }
     req.dim = static_cast<DimId>(i % kDims);
-    batch.reqs.push_back(std::move(req));
-    if (batch.reqs.size() == kWireBatch || i + 1 == requests) {
-      send({Envelope::of(std::move(batch))});
-      batch = MatchRequestBatch{};
-      batch.reqs.reserve(kWireBatch);
-    }
+    blast.push_back(Envelope::of(std::move(req)));
   }
+  send(std::move(blast));
   const std::uint64_t want = base_matched + requests;
   const double deadline = now_sec() + 300.0;
   while (matched_count(matcher) < want && now_sec() < deadline) {
@@ -222,7 +220,18 @@ int main(int argc, char** argv) {
   benchutil::header("parallel",
                     "parallel match execution: msgs/sec vs matcher cores");
   const unsigned hw = std::thread::hardware_concurrency();
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  const int nproc =
+      ::sched_getaffinity(0, sizeof cpus, &cpus) == 0 ? CPU_COUNT(&cpus) : 0;
+#ifdef NDEBUG
+  const bool ndebug = true;
+#else
+  const bool ndebug = false;
+#endif
   benchutil::note("hardware_concurrency=" + std::to_string(hw) +
+                  ", nproc=" + std::to_string(nproc) +
+                  (ndebug ? ", NDEBUG build" : ", debug build") +
                   " — speedup over cores=1 is bounded by the machine's real "
                   "core count");
   // A 1-core box cannot measure parallel speedup — every multi-worker cell
@@ -237,6 +246,8 @@ int main(int argc, char** argv) {
 
   obs::MetricsSnapshot snap;
   snap.gauges["parallel.hardware_concurrency"] = static_cast<double>(hw);
+  snap.gauges["parallel.nproc"] = static_cast<double>(nproc);
+  snap.gauges["parallel.ndebug"] = ndebug ? 1.0 : 0.0;
   snap.gauges["parallel.requests"] = static_cast<double>(requests);
   if (degraded) snap.gauges["parallel.degraded"] = 1.0;
 

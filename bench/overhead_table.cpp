@@ -213,7 +213,7 @@ void recorder_overhead_section() {
   const double w_off = wire_throughput(false, kWireMsgs);
   const double w_on = wire_throughput(true, kWireMsgs);
 
-  std::printf("\nloopback TCP blast (wire_batch 8, 64 B payloads):\n");
+  std::printf("\nloopback TCP blast (8 publishes per task, 64 B payloads):\n");
   std::printf("%-28s %14s %10s\n", "configuration", "msgs/sec", "overhead");
   std::printf("%-28s %14.0f %10s\n", "recorder off", w_off, "-");
   std::printf("%-28s %14.0f %9.2f%%\n", "recorder on", w_on,

@@ -9,6 +9,7 @@
 //
 // Encoding: little-endian fixed-width integers/doubles, varint for sizes.
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -48,6 +49,14 @@ class Writer {
   /// Overwrites 4 previously written (or reserved) bytes at `at` in place.
   void patch_u32(std::size_t at, std::uint32_t v) {
     std::memcpy(buf_.data() + at, &v, sizeof v);
+  }
+
+  /// Drops everything written at or after offset `n`.
+  void truncate(std::size_t n) { buf_.resize(n); }
+
+  /// Drops the first `n` bytes (output already consumed), keeping capacity.
+  void erase_front(std::size_t n) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(n));
   }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }

@@ -26,7 +26,12 @@ namespace {
 /// cluster, which count up from 1.
 constexpr std::uint64_t kEdgeIdBit = 1ull << 62;
 
-constexpr std::size_t kNoOpenFrame = static_cast<std::size_t>(-1);
+/// Largest frame a client may send. Every client op (hello, subscribe,
+/// unsubscribe, publish, ack) is one small envelope per frame, so this
+/// leaves a publish payload near a megabyte of room while refusing a header
+/// that would otherwise pin up to wire::kMaxFrame (64 MiB) of buffer per
+/// connection before a single body byte arrives.
+constexpr std::uint32_t kMaxClientFrame = 1u << 20;
 
 double mono_seconds() {
   using clock = std::chrono::steady_clock;
@@ -44,6 +49,8 @@ double mono_seconds() {
 /// one reactor at a time (migration moves the whole object), so no field
 /// needs a lock.
 struct EdgeFrontend::Conn {
+  Conn(int fd, NodeId node) : fd(fd), out(node) {}
+
   int fd = -1;
   Session* session = nullptr;
 
@@ -56,18 +63,12 @@ struct EdgeFrontend::Conn {
   std::uint32_t got = 0;
   std::shared_ptr<std::vector<std::uint8_t>> body;
 
-  // Bounded write queue: one contiguous buffer of framed bytes. Bytes in
-  // [woff, size) are unsent; [open_header, size) is the still-open frame
-  // whose length prefix is patched when the frame closes.
-  std::vector<std::uint8_t> wbuf;
-  std::size_t woff = 0;
-  std::size_t open_header = kNoOpenFrame;
-  int open_envs = 0;
+  // Bounded write queue: the unsent frames, the last one open until the
+  // end of the reactor wake that queued it.
+  net::wire::FrameBuilder out;
   bool want_write = false;  ///< EPOLLOUT currently armed
   bool dirty = false;       ///< queued output since the last flush pass
   bool counted = false;     ///< already in conn_count_ (survives migration)
-
-  std::size_t unsent() const { return wbuf.size() - woff; }
 };
 
 /// A client session: outlives its connection, owns the delivery sequence
@@ -115,7 +116,6 @@ struct EdgeFrontend::Reactor {
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions;
   std::uint64_t next_ordinal = 1;  ///< minted ids: ordinal * R + index
   std::vector<int> dirty;          ///< fds with queued output this wake
-  serde::Writer scratch;           ///< reused envelope-body serializer
   double next_reap = 0.0;
   obs::Gauge* conns_gauge = nullptr;
 };
@@ -127,7 +127,6 @@ struct EdgeFrontend::Reactor {
 EdgeFrontend::EdgeFrontend(EdgeConfig config, NodeId node, IngressFn ingress)
     : config_(std::move(config)), node_(node), ingress_(std::move(ingress)) {
   if (config_.reactors < 1) config_.reactors = 1;
-  if (config_.fanout_batch < 1) config_.fanout_batch = 1;
 
   m_accepts_ = &metrics_.counter("edge.accepts");
   m_accept_rejects_ = &metrics_.counter("edge.accept_rejects");
@@ -151,7 +150,7 @@ EdgeFrontend::EdgeFrontend(EdgeConfig config, NodeId node, IngressFn ingress)
   m_conns_ = &metrics_.gauge("edge.connections");
   m_sessions_gauge_ = &metrics_.gauge("edge.sessions");
   m_queue_high_water_ = &metrics_.gauge("edge.queue_high_water");
-  m_fanout_batch_ = &metrics_.histogram("edge.fanout_batch");
+  m_frame_envs_ = &metrics_.histogram("edge.frame_envelopes");
   m_delivery_latency_ = &metrics_.histogram("edge.delivery_latency");
 
   // Bind immediately so port 0 resolves before start() (TcpHost idiom).
@@ -359,12 +358,9 @@ void EdgeFrontend::reactor_loop(Reactor& r) {
       }
       for (Task& t : batch) {
         switch (t.kind) {
-          case Task::Kind::kNewConn: {
-            auto conn = std::make_unique<Conn>();
-            conn->fd = t.fd;
-            adopt_conn(r, std::move(conn));
+          case Task::Kind::kNewConn:
+            adopt_conn(r, std::make_unique<Conn>(t.fd, node_));
             break;
-          }
           case Task::Kind::kDeliver:
             deliver_on_reactor(r, t.delivery, t.enqueued_at);
             break;
@@ -387,8 +383,9 @@ void EdgeFrontend::reactor_loop(Reactor& r) {
       batch.clear();
     }
     // Flush everything that queued output during this wake: close the open
-    // frame and push bytes until the socket would block (then EPOLLOUT
-    // takes over — interest-mask driven flushing).
+    // frame, so a wake's deliveries to one connection leave as one frame,
+    // and push bytes until the socket would block (then EPOLLOUT takes
+    // over — interest-mask driven flushing).
     for (const int fd : r.dirty) {
       auto it = r.conns.find(fd);
       if (it == r.conns.end()) continue;
@@ -442,7 +439,7 @@ void EdgeFrontend::handle_readable(Reactor& r, Conn& c) {
       c.got += static_cast<std::uint32_t>(n);
       if (c.got < 4) continue;
       c.len = net::wire::read_frame_len(c.lenbuf);
-      if (c.len == 0 || c.len > net::wire::kMaxFrame) {
+      if (c.len == 0 || c.len > kMaxClientFrame) {
         m_malformed_->inc();
         return close_conn(r, c, false);
       }
@@ -681,21 +678,12 @@ void EdgeFrontend::deliver_on_reactor(Reactor& r, const Delivery& d,
 }
 
 // --------------------------------------------------------------------------
-// Write path: bounded queue, frame batching, interest-mask flushing
+// Write path: bounded queue, one frame per wake, interest-mask flushing
 // --------------------------------------------------------------------------
 
 void EdgeFrontend::enqueue_event(Reactor& r, Conn& c, const Envelope& env) {
-  if (c.open_header == kNoOpenFrame) {
-    c.open_header = c.wbuf.size();
-    c.wbuf.resize(c.wbuf.size() + 8);  // header patched at frame close
-    c.open_envs = 0;
-  }
-  r.scratch.clear();
-  net::wire::build_body(r.scratch, env);
-  c.wbuf.insert(c.wbuf.end(), r.scratch.data(),
-                r.scratch.data() + r.scratch.size());
-  if (++c.open_envs >= config_.fanout_batch) close_frame(c);
-  m_queue_high_water_->record_max(static_cast<double>(c.unsent()));
+  count_frame(c.out.append(env));
+  m_queue_high_water_->record_max(static_cast<double>(c.out.size()));
   if (!c.dirty) {
     c.dirty = true;
     r.dirty.push_back(c.fd);
@@ -708,50 +696,35 @@ void EdgeFrontend::enqueue_event(Reactor& r, Conn& c, const Envelope& env) {
   // progress and an oversized replay drains incrementally instead of
   // evicting before a single byte is sent. Its session stays resumable;
   // undelivered events wait in the replay ring.
-  if (c.unsent() > config_.write_queue_bytes) {
+  if (c.out.size() > config_.write_queue_bytes) {
     const int fd = c.fd;
     flush_conn(r, c);  // may close the conn itself on a socket error
     auto it = r.conns.find(fd);
     if (it == r.conns.end()) return;
-    if (it->second->unsent() > config_.write_queue_bytes) {
+    if (it->second->out.size() > config_.write_queue_bytes) {
       close_conn(r, *it->second, true);
     }
   }
 }
 
-void EdgeFrontend::close_frame(Conn& c) {
-  if (c.open_header == kNoOpenFrame) return;
-  const std::size_t body_bytes = c.wbuf.size() - c.open_header - 8;
-  std::uint8_t header[8];
-  net::wire::fill_header(header, static_cast<std::uint32_t>(body_bytes),
-                         node_);
-  std::memcpy(c.wbuf.data() + c.open_header, header, 8);
+void EdgeFrontend::count_frame(const net::wire::FrameStats& frame) {
+  if (frame.envelopes == 0) return;
   m_frames_out_->inc();
-  m_fanout_batch_->record_units(static_cast<std::uint64_t>(c.open_envs));
-  c.open_header = kNoOpenFrame;
-  c.open_envs = 0;
+  m_frame_envs_->record_units(frame.envelopes);
 }
 
 void EdgeFrontend::flush_conn(Reactor& r, Conn& c) {
-  close_frame(c);
-  while (c.woff < c.wbuf.size()) {
-    const ::ssize_t n = ::send(c.fd, c.wbuf.data() + c.woff,
-                               c.wbuf.size() - c.woff, MSG_NOSIGNAL);
+  count_frame(c.out.close());
+  while (!c.out.empty()) {
+    const ::ssize_t n =
+        ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
       return close_conn(r, c, false);
     }
-    c.woff += static_cast<std::size_t>(n);
+    c.out.consume(static_cast<std::size_t>(n));
     m_bytes_out_->inc(static_cast<std::uint64_t>(n));
-  }
-  if (c.woff == c.wbuf.size()) {
-    c.wbuf.clear();
-    c.woff = 0;
-  } else if (c.woff > (1u << 16)) {
-    c.wbuf.erase(c.wbuf.begin(),
-                 c.wbuf.begin() + static_cast<std::ptrdiff_t>(c.woff));
-    c.woff = 0;
   }
   update_interest(r, c);
 }
@@ -759,7 +732,7 @@ void EdgeFrontend::flush_conn(Reactor& r, Conn& c) {
 void EdgeFrontend::handle_writable(Reactor& r, Conn& c) { flush_conn(r, c); }
 
 void EdgeFrontend::update_interest(Reactor& r, Conn& c) {
-  const bool want = c.woff < c.wbuf.size();
+  const bool want = !c.out.empty();
   if (want == c.want_write) return;
   c.want_write = want;
   ::epoll_event ev{};

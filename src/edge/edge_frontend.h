@@ -33,7 +33,12 @@
 // frames assemble into refcounted buffers and parse into zero-copy payload
 // views, and the delivery fan-out serializes each payload straight from
 // the matcher frame's shared block (attr/payload.h) — one buffer serves
-// every subscriber on every socket, wire.payload_copies stays 0.
+// every subscriber on every socket, wire.payload_copies stays 0. Each
+// connection's write queue is a wire::FrameBuilder closed at the end of
+// every reactor wake, so the deliveries one wake queues for a connection
+// leave as one frame (split only at wire::kMaxFrame). Inbound, a client
+// frame header claiming more than 1 MiB is malformed: the connection is
+// closed before any buffer is allocated for it.
 //
 // Integration: the frontend owns no dispatcher logic. Client envelopes
 // (subscribe / unsubscribe / publish, with ids rewritten to edge-global
@@ -54,9 +59,9 @@
 #include <vector>
 
 #include "common/affinity.h"
-#include "common/serde.h"
 #include "common/thread_safety.h"
 #include "net/protocol.h"
+#include "net/wire.h"
 #include "obs/metrics.h"
 
 namespace bluedove::edge {
@@ -71,8 +76,6 @@ struct EdgeConfig {
   /// Slow-client bound: a connection holding more than this many unsent
   /// outbound bytes is evicted (its session stays resumable).
   std::size_t write_queue_bytes = 1u << 20;
-  /// Maximum envelopes coalesced into one outbound frame (PR-3 batching).
-  int fanout_batch = 64;
   /// Per-session replay ring bound, in unacknowledged deliveries. When the
   /// ring is full the oldest entry is dropped (edge.replay_overflow) and a
   /// later resume past it reports a gap.
@@ -135,7 +138,7 @@ class EdgeFrontend {
                                   std::vector<Envelope>&& rest);
   void attach_session(Reactor& r, Conn& c, const EdgeHello& hello);
   void enqueue_event(Reactor& r, Conn& c, const Envelope& env);
-  void close_frame(Conn& c);
+  void count_frame(const net::wire::FrameStats& frame);
   void flush_conn(Reactor& r, Conn& c);
   void update_interest(Reactor& r, Conn& c);
   void close_conn(Reactor& r, Conn& c, bool evicted);
@@ -186,7 +189,7 @@ class EdgeFrontend {
   obs::Gauge* m_conns_ = nullptr;
   obs::Gauge* m_sessions_gauge_ = nullptr;
   obs::Gauge* m_queue_high_water_ = nullptr;
-  obs::LatencyHistogram* m_fanout_batch_ = nullptr;    ///< envelopes per frame
+  obs::LatencyHistogram* m_frame_envs_ = nullptr;  ///< envelopes per frame
   obs::LatencyHistogram* m_delivery_latency_ = nullptr;  ///< deliver() -> flush
 };
 

@@ -140,12 +140,10 @@ bool Swarm::connect_peer(Peer& p, int idx, const Envelope* extra) {
   hello.last_seq = p.last_seq.load();
   // Hello plus (for fresh sessions) the subscription, pipelined into one
   // frame: the edge attaches the session, then runs the rest of the frame.
-  serde::Writer w;
-  const std::size_t at = w.reserve(4);
-  w.u32(kInvalidNode);
-  write_envelope(w, Envelope::of(hello));
-  if (extra != nullptr) write_envelope(w, *extra);
-  w.patch_u32(at, static_cast<std::uint32_t>(w.size() - 4));
+  net::wire::FrameBuilder w(kInvalidNode);
+  w.append(Envelope::of(hello));
+  if (extra != nullptr) w.append(*extra);
+  w.close();
   if (!send_all(fd, w.data(), w.size())) {
     ::close(fd);
     return false;
@@ -250,10 +248,8 @@ bool Swarm::publish(const std::vector<Value>& values,
     msg.values = values;
     msg.payload = PayloadRef(std::move(payload));
     serde::Writer w;
-    const std::size_t at = w.reserve(4);
-    w.u32(kInvalidNode);
-    write_envelope(w, Envelope::of(ClientPublish{std::move(msg)}));
-    w.patch_u32(at, static_cast<std::uint32_t>(w.size() - 4));
+    net::wire::build_frame(w, kInvalidNode,
+                           Envelope::of(ClientPublish{std::move(msg)}));
     bd::LockGuard lk(p.send_mu);
     const int fd = p.fd.load();
     if (fd < 0) continue;
@@ -409,10 +405,8 @@ void Swarm::handle_peer(Driver& d, Peer& p) {
         if (++p.unacked >= config_.ack_every) {
           p.unacked = 0;
           serde::Writer w;
-          const std::size_t at = w.reserve(4);
-          w.u32(kInvalidNode);
-          write_envelope(w, Envelope::of(EdgeAck{ev->seq}));
-          w.patch_u32(at, static_cast<std::uint32_t>(w.size() - 4));
+          net::wire::build_frame(w, kInvalidNode,
+                                 Envelope::of(EdgeAck{ev->seq}));
           bd::LockGuard lk(p.send_mu);
           const int cur = p.fd.load();
           // Best effort: acks are cumulative, the next one covers a miss.

@@ -49,6 +49,15 @@ const char* to_string(IndexKind kind) {
   return "unknown";
 }
 
+std::optional<IndexKind> index_kind_from_string(std::string_view name) {
+  for (const IndexKind kind :
+       {IndexKind::kLinearScan, IndexKind::kBucket, IndexKind::kIntervalTree,
+        IndexKind::kFlatBucket}) {
+    if (name == to_string(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 std::unique_ptr<SubscriptionIndex> make_index(
     IndexKind kind, DimId pivot, Range domain,
     std::shared_ptr<SubscriptionStore> store) {

@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "attr/message.h"
@@ -143,6 +145,9 @@ enum class IndexKind {
 };
 
 const char* to_string(IndexKind kind);
+
+/// The kind whose to_string() is `name`; nullopt for any other string.
+std::optional<IndexKind> index_kind_from_string(std::string_view name);
 
 /// Creates an engine of the requested kind pivoted on `pivot`. Engines that
 /// partition the pivot domain need its extent, hence `domain`.

@@ -89,18 +89,6 @@ MatchRequest read_match_request(serde::Reader& r) {
   return m;
 }
 
-void write_payload(serde::Writer& w, const MatchRequestBatch& m) {
-  w.varint(m.reqs.size());
-  for (const MatchRequest& req : m.reqs) write_payload(w, req);
-}
-MatchRequestBatch read_match_request_batch(serde::Reader& r) {
-  MatchRequestBatch m;
-  const auto n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    m.reqs.push_back(read_match_request(r));
-  return m;
-}
-
 void write_payload(serde::Writer& w, const MatchAck& m) { w.u64(m.msg_id); }
 MatchAck read_match_ack(serde::Reader& r) {
   MatchAck m;
@@ -414,18 +402,16 @@ Envelope read_envelope(serde::Reader& r) {
     case 21:
       return Envelope::of(read_stats_response(r));
     case 22:
-      return Envelope::of(read_match_request_batch(r));
-    case 23:
       return Envelope::of(read_trace_dump_request(r));
-    case 24:
+    case 23:
       return Envelope::of(read_trace_dump_response(r));
-    case 25:
+    case 24:
       return Envelope::of(read_edge_hello(r));
-    case 26:
+    case 25:
       return Envelope::of(read_edge_welcome(r));
-    case 27:
+    case 26:
       return Envelope::of(read_edge_ack(r));
-    case 28:
+    case 27:
       return Envelope::of(read_edge_event(r));
     default:
       return Envelope::of(TablePullReq{});
@@ -445,9 +431,9 @@ const char* payload_name(const Envelope& env) {
       "MatchCompleted", "LoadReport", "TablePullReq", "TablePullResp",
       "GossipSyn", "GossipAck", "GossipAck2", "JoinRequest", "SplitCommand",
       "HandoverSegment", "LeaveRequest", "HandoverMerge", "MatchAck",
-      "StatsRequest", "StatsResponse", "MatchRequestBatch",
-      "TraceDumpRequest", "TraceDumpResponse", "EdgeHello", "EdgeWelcome",
-      "EdgeAck", "EdgeEvent"};
+      "StatsRequest", "StatsResponse", "TraceDumpRequest",
+      "TraceDumpResponse", "EdgeHello", "EdgeWelcome", "EdgeAck",
+      "EdgeEvent"};
   return kNames[env.payload.index()];
 }
 

@@ -83,16 +83,6 @@ struct MatchAck {
   MessageId msg_id = 0;
 };
 
-/// Several MatchRequests for the same matcher coalesced into one envelope
-/// (dispatcher-side wire batching). The receiving matcher enqueues every
-/// request before pumping its cores, so a whole batch flows through the
-/// index's batched probe (`service_batch`) in one service. Each request
-/// keeps its own dispatch timestamp / trace block; semantics are identical
-/// to sending the requests individually, minus the per-envelope overhead.
-struct MatchRequestBatch {
-  std::vector<MatchRequest> reqs;
-};
-
 // --------------------------------------------------------------------------
 // Matcher -> subscriber / metrics sink
 // --------------------------------------------------------------------------
@@ -290,8 +280,7 @@ using Payload =
                  MatchCompleted, LoadReport, TablePullReq, TablePullResp,
                  GossipSyn, GossipAck, GossipAck2, JoinRequest, SplitCommand,
                  HandoverSegment, LeaveRequest, HandoverMerge, MatchAck,
-                 StatsRequest, StatsResponse, MatchRequestBatch,
-                 TraceDumpRequest, TraceDumpResponse, EdgeHello, EdgeWelcome,
+                 StatsRequest, StatsResponse, TraceDumpRequest, TraceDumpResponse, EdgeHello, EdgeWelcome,
                  EdgeAck, EdgeEvent>;
 
 struct Envelope {

@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -54,34 +53,6 @@ int connect_endpoint(const TcpEndpoint& endpoint) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   return fd;
-}
-
-/// Gathers `cnt` iovecs into the socket with sendmsg(MSG_NOSIGNAL),
-/// restarting after partial writes. Mutates the iovec array in place.
-bool sendv_all(int fd, ::iovec* iov, std::size_t cnt) {
-  constexpr std::size_t kMaxVecs = 512;  // stay under any IOV_MAX
-  while (cnt > 0) {
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = cnt < kMaxVecs ? cnt : kMaxVecs;
-    ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    while (n > 0 && cnt > 0) {
-      if (static_cast<std::size_t>(n) >= iov->iov_len) {
-        n -= static_cast<ssize_t>(iov->iov_len);
-        ++iov;
-        --cnt;
-      } else {
-        iov->iov_base = static_cast<char*>(iov->iov_base) + n;
-        iov->iov_len -= static_cast<std::size_t>(n);
-        n = 0;
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -173,7 +144,7 @@ void TcpHost::stop() {
   // From here on the node inbox refuses tasks and the node thread exits.
   if (!loop_.request_stop()) return;
   {
-    // The node thread can be blocked in sendmsg against a peer that stopped
+    // The node thread can be blocked in send() against a peer that stopped
     // reading (full socket buffer). shutdown() — unlike close() — makes that
     // call return; later writes see closing_ and fail fast.
     bd::LockGuard lock(write_mu_);
@@ -301,47 +272,36 @@ bool TcpHost::post(std::function<void()> fn) {
 
 void TcpHost::send_to(NodeId peer, const Envelope& env) {
   BD_ASSERT_NODE_THREAD(&loop_);
-  wire::build_body(body_, env);
-  Outbound& out = outbound_[peer];
+  Outbound& out = outbound_.try_emplace(peer, self_).first->second;
   if (out.frames.empty()) dirty_.push_back(peer);
-  // A frame's length word counts everything after it: sender + envelopes.
-  if (out.frames.empty() ||
-      out.frames.back().bytes.size() - 4 + body_.size() > wire::kMaxFrame) {
-    out.frames.emplace_back().bytes.resize(8);  // header, filled at flush
-  }
-  Frame& frame = out.frames.back();
-  frame.bytes.insert(frame.bytes.end(), body_.data(),
-                     body_.data() + body_.size());
-  ++frame.envelopes;
+  const wire::FrameStats split = out.frames.append(env);
+  if (split.envelopes != 0) out.closed.push_back(split);
 }
 
 void TcpHost::flush() {
   for (const NodeId peer : dirty_) {
-    Outbound& out = outbound_[peer];
+    Outbound& out = outbound_.at(peer);
+    out.closed.push_back(out.frames.close());
     std::uint64_t envelopes = 0;
-    std::uint64_t bytes = 0;
-    for (Frame& frame : out.frames) {
-      wire::fill_header(frame.bytes.data(),
-                        static_cast<std::uint32_t>(frame.bytes.size() - 8),
-                        self_);
+    for (const wire::FrameStats& frame : out.closed) {
       envelopes += frame.envelopes;
-      bytes += frame.bytes.size();
     }
     obs::ScopedSpan flush_span(rec::flush(), 0, envelopes);
     if (write_peer(peer, out)) {
       m_flushes_->inc();
       m_envelopes_->inc(envelopes);
-      m_frames_->inc(out.frames.size());
-      m_bytes_->inc(bytes);
-      for (const Frame& frame : out.frames) {
+      m_frames_->inc(out.closed.size());
+      m_bytes_->inc(out.frames.size());
+      for (const wire::FrameStats& frame : out.closed) {
         m_frame_envs_->record(static_cast<double>(frame.envelopes));
-        m_frame_bytes_->record(static_cast<double>(frame.bytes.size()));
+        m_frame_bytes_->record(static_cast<double>(frame.bytes));
       }
     } else {
       dropped_sends_.fetch_add(envelopes, std::memory_order_relaxed);
       m_send_drops_->inc(envelopes);
     }
     out.frames.clear();
+    out.closed.clear();
   }
   dirty_.clear();
 }
@@ -393,18 +353,13 @@ int TcpHost::dial(NodeId peer, Outbound& out) {
   return out.fd;
 }
 
-bool TcpHost::write_frames(int fd, const std::vector<Frame>& frames) {
-  iov_.clear();
-  for (const Frame& frame : frames) {
-    iov_.push_back({const_cast<std::uint8_t*>(frame.bytes.data()),
-                    frame.bytes.size()});
-  }
+bool TcpHost::write_frames(int fd, const wire::FrameBuilder& frames) {
   {
     bd::LockGuard lock(write_mu_);
     if (closing_) return false;
     writing_fd_ = fd;
   }
-  const bool ok = sendv_all(fd, iov_.data(), iov_.size());
+  const bool ok = wire::write_all(fd, frames.data(), frames.size());
   bd::LockGuard lock(write_mu_);
   writing_fd_ = -1;
   return ok;

@@ -14,15 +14,15 @@
 //   u32  sender node id
 //   ...  one or more serialized Envelopes, back to back
 //
-// Outbound path. There is one, and the node thread owns it. send() appends
-// the serialized envelope to the destination peer's outbound frames: a
-// multi-envelope frame per peer, capped at wire::kMaxFrame, a new frame when
-// the open one would pass the cap. The NodeLoop then calls flush() after
-// Node::start, after every task and after every timer callback, which
-// writes each peer that was sent to with one sendmsg() of all its frames.
-// So a message never waits past the end of the handler that sent it; a
-// handler that sends once produces exactly wire::build_frame's bytes, and a
-// matcher completion that fans out hundreds of deliveries to one dispatcher
+// Outbound path. There is one, and the node thread owns it. send()
+// serializes the envelope straight into the destination peer's
+// wire::FrameBuilder: one multi-envelope frame per peer, split only at
+// wire::kMaxFrame. The NodeLoop then calls flush() after Node::start, after
+// every task and after every timer callback, which closes each peer's open
+// frame and writes everything that peer was sent with one send(). So a
+// message never waits past the end of the handler that sent it; a handler
+// that sends once produces exactly wire::build_frame's bytes, and a matcher
+// completion that fans out hundreds of deliveries to one dispatcher
 // produces one syscall and one reader task at the far end.
 //
 // The flush is a blocking write on the node thread. It dials a peer with no
@@ -39,8 +39,6 @@
 // node's context; it hands a closure to post(), whose sends are flushed when
 // it returns.
 
-#include <sys/uio.h>
-
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -51,9 +49,9 @@
 #include <vector>
 
 #include "common/affinity.h"
-#include "common/serde.h"
 #include "common/thread_safety.h"
 #include "net/transport.h"
+#include "net/wire.h"
 #include "obs/metrics.h"
 #include "runtime/node_loop.h"
 
@@ -139,18 +137,15 @@ class TcpHost {
                             double timeout_sec = 5.0);
 
  private:
-  /// One outbound frame: an 8-byte header (length + sender, filled at
-  /// flush time) followed by serialized envelopes.
-  struct Frame {
-    std::vector<std::uint8_t> bytes;
-    std::uint32_t envelopes = 0;
-  };
   /// Per-peer outbound state, owned by the node thread.
   struct Outbound {
+    explicit Outbound(NodeId self) : frames(self) {}
     /// Dialled connection, -1 when there is none.
     int fd = -1;
-    /// Frames not yet written; the last one is open for more envelopes.
-    std::vector<Frame> frames;
+    /// Bytes not yet written; the last frame is open for more envelopes.
+    wire::FrameBuilder frames;
+    /// Frames closed since the last flush, for the metrics of a written one.
+    std::vector<wire::FrameStats> closed;
   };
 
   void accept_loop();
@@ -165,9 +160,9 @@ class TcpHost {
   /// The dialled connection to `peer`, dialling when there is none; -1 when
   /// the peer has no endpoint, the dial fails or the host is stopping.
   BD_NODE_THREAD int dial(NodeId peer, Outbound& out);
-  /// One sendmsg() of all `frames` to `fd`, published to stop() so it can
-  /// unblock the write. False on failure or once stop() has begun.
-  BD_NODE_THREAD bool write_frames(int fd, const std::vector<Frame>& frames);
+  /// Writes all of `frames` to `fd`, published to stop() so it can unblock
+  /// the write. False on failure or once stop() has begun.
+  BD_NODE_THREAD bool write_frames(int fd, const wire::FrameBuilder& frames);
 
   NodeId self_;
 
@@ -187,13 +182,11 @@ class TcpHost {
   /// under the lock, so it holds no lock across the write.
   std::map<NodeId, int> learned_fds_ BD_GUARDED_BY(peers_mu_);
 
-  /// Node-thread outbound state: per-peer frames and connections, the peers
-  /// sent to since the last flush, and reused scratch. stop() closes the
+  /// Node-thread outbound state: per-peer frames and connections, and the
+  /// peers sent to since the last flush. stop() closes the
   /// connections only after the node thread has joined.
   std::map<NodeId, Outbound> outbound_;
   std::vector<NodeId> dirty_;
-  serde::Writer body_;
-  std::vector<::iovec> iov_;
 
   /// The fd the node thread is writing to (-1 when none) and whether stop()
   /// has begun. The node thread publishes the fd before the write and
@@ -218,7 +211,7 @@ class TcpHost {
   obs::Counter* m_envelopes_ = nullptr;   ///< envelopes put on the wire
   obs::Counter* m_frames_ = nullptr;      ///< frames put on the wire
   obs::Counter* m_bytes_ = nullptr;       ///< bytes put on the wire
-  obs::Counter* m_flushes_ = nullptr;     ///< per-peer flushes (sendmsg calls)
+  obs::Counter* m_flushes_ = nullptr;     ///< per-peer flushes written
   obs::Counter* m_send_drops_ = nullptr;  ///< envelopes dropped: write failed
   obs::Counter* m_connects_ = nullptr;    ///< outbound dials that succeeded
   /// Zero-copy accounting: payload bytes the receive path had to copy out

@@ -2,7 +2,7 @@
 
 #include <sys/socket.h>
 
-#include <cstring>
+#include <cerrno>
 
 namespace bluedove::net::wire {
 
@@ -19,11 +19,55 @@ void build_body(serde::Writer& w, const Envelope& env) {
   write_envelope(w, env);
 }
 
-void fill_header(std::uint8_t out[8], std::uint32_t body_bytes,
-                 NodeId sender) {
-  const std::uint32_t len = body_bytes + static_cast<std::uint32_t>(kFrameOverhead);
-  std::memcpy(out, &len, 4);
-  std::memcpy(out + 4, &sender, 4);
+FrameStats FrameBuilder::append(const Envelope& env) {
+  FrameStats closed;
+  if (open_ == kNoFrame) {
+    open_ = out_.reserve(4);  // length prefix, patched by close()
+    out_.u32(sender_);
+  }
+  const std::size_t at = out_.size();
+  write_envelope(out_, env);
+  // The length word counts everything after it: sender + envelopes.
+  if (open_envs_ > 0 && out_.size() - open_ - 4 > kMaxFrame) {
+    // Past the cap: the envelope starts the next frame instead. It is
+    // serialized again, at most once per kMaxFrame of output.
+    out_.truncate(at);
+    closed = close();
+    append(env);  // opens a fresh frame, which never splits
+    return closed;
+  }
+  ++open_envs_;
+  return closed;
+}
+
+FrameStats FrameBuilder::close() {
+  if (open_ == kNoFrame) return {};
+  const std::size_t bytes = out_.size() - open_;
+  out_.patch_u32(open_, static_cast<std::uint32_t>(bytes - 4));
+  const FrameStats stats{open_envs_, bytes};
+  open_ = kNoFrame;
+  open_envs_ = 0;
+  return stats;
+}
+
+void FrameBuilder::consume(std::size_t n) {
+  head_ += n;
+  if (head_ == out_.size()) {
+    clear();
+  } else if (head_ > (1u << 16)) {
+    // A reader that keeps draining without ever catching up: reclaim the
+    // written prefix instead of growing the buffer without bound.
+    out_.erase_front(head_);
+    if (open_ != kNoFrame) open_ -= head_;
+    head_ = 0;
+  }
+}
+
+void FrameBuilder::clear() {
+  out_.clear();
+  head_ = 0;
+  open_ = kNoFrame;
+  open_envs_ = 0;
 }
 
 std::uint32_t read_frame_len(const std::uint8_t bytes[4]) {
@@ -52,6 +96,7 @@ bool write_all(int fd, const void* data, std::size_t len) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   while (len > 0) {
     const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     p += n;
     len -= static_cast<std::size_t>(n);

@@ -1,20 +1,22 @@
 #pragma once
-// Wire framing for the TCP transport.
+// Wire framing for the TCP transport and the client edge.
 //
 // Every TCP frame is:
 //   u32  frame length (bytes that follow, little-endian)
 //   u32  sender node id
 //   ...  one or more serialized Envelopes, back to back
 //
-// A frame carrying several envelopes is an "EnvelopeBatch" frame: the
-// receiver parses envelopes until the frame is exhausted. A single-envelope
-// frame is byte-identical to the historical one-message-per-frame format,
-// so batching peers interoperate with non-batching peers in both
-// directions.
+// The receiver parses envelopes until the frame is exhausted. A
+// single-envelope frame is byte-identical to the historical
+// one-message-per-frame format.
 //
-// These helpers serialize each envelope exactly once, directly into the
-// caller's (reusable) Writer buffer — the 4-byte length prefix is reserved
-// up front and patched in place, so there is no second full-frame copy.
+// One batching rule covers every outbound socket: a frame holds what one
+// flush carries, split only at kMaxFrame. FrameBuilder implements it —
+// TcpHost keeps one per peer and closes it at the end of each node task,
+// EdgeFrontend keeps one per client connection and closes it at the end of
+// each reactor wake. Envelopes serialize exactly once, straight into the
+// open frame; the length prefix is reserved up front and patched when the
+// frame closes.
 
 #include <cstdint>
 #include <memory>
@@ -38,14 +40,53 @@ inline constexpr std::size_t kFrameOverhead = 4;
 void build_frame(serde::Writer& w, NodeId sender, const Envelope& env);
 
 /// Serializes just the envelope bytes (no header) into `w`, cleared first.
-/// The transport appends these to per-peer multi-envelope frames and fills
-/// each frame's header at flush time.
 void build_body(serde::Writer& w, const Envelope& env);
 
-/// Fills an 8-byte frame header for a frame whose body (everything after
-/// the length prefix, excluding the 4 sender bytes) is `body_bytes` long.
-void fill_header(std::uint8_t out[8], std::uint32_t body_bytes,
-                 NodeId sender);
+/// What closing one frame reports, for metrics.
+struct FrameStats {
+  std::uint32_t envelopes = 0;  ///< 0 when no frame was closed
+  std::size_t bytes = 0;        ///< the whole frame, length prefix included
+};
+
+/// An outbound byte stream of frames: closed frames ready to write, then at
+/// most one open frame still taking envelopes. Not thread-safe; each owner
+/// (a TcpHost peer, an edge connection) keeps one on the thread that
+/// writes it.
+class FrameBuilder {
+ public:
+  explicit FrameBuilder(NodeId sender) : sender_(sender) {}
+
+  /// Serializes `env` into the open frame, opening one when none is. An
+  /// envelope that would take a non-empty open frame past kMaxFrame closes
+  /// that frame and starts the next one; the closed frame's counts are
+  /// returned (envelopes == 0 when the append closed nothing).
+  FrameStats append(const Envelope& env);
+
+  /// Closes the open frame by patching its length prefix and returns its
+  /// counts (envelopes == 0 when no frame was open). Close before writing:
+  /// an open frame's prefix is not yet valid.
+  FrameStats close();
+
+  /// The queued bytes: everything not yet consumed, open frame included.
+  const std::uint8_t* data() const { return out_.data() + head_; }
+  std::size_t size() const { return out_.size() - head_; }
+  bool empty() const { return size() == 0; }
+
+  /// Drops the first `n` queued bytes (they have been written).
+  void consume(std::size_t n);
+
+  /// Drops every queued byte, an open frame included.
+  void clear();
+
+ private:
+  static constexpr std::size_t kNoFrame = static_cast<std::size_t>(-1);
+
+  NodeId sender_;
+  serde::Writer out_;
+  std::size_t head_ = 0;          ///< bytes before this were consumed
+  std::size_t open_ = kNoFrame;   ///< offset of the open frame's prefix
+  std::uint32_t open_envs_ = 0;   ///< envelopes in the open frame
+};
 
 /// Decodes the little-endian length prefix.
 std::uint32_t read_frame_len(const std::uint8_t bytes[4]);

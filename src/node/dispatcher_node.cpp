@@ -38,8 +38,6 @@ DispatcherNode::DispatcherNode(NodeId id, DispatcherConfig config)
   m_dropped_ = &metrics_.counter("dispatcher.dropped_no_candidate");
   m_sampled_ = &metrics_.counter("dispatcher.traced");
   m_stats_reqs_ = &metrics_.counter("dispatcher.stats_requests");
-  m_batches_ = &metrics_.counter("dispatcher.batches_sent");
-  m_batch_size_ = &metrics_.histogram("dispatcher.batch_size");
 }
 
 void DispatcherNode::set_bootstrap(ClusterTable table) {
@@ -165,56 +163,12 @@ Assignment DispatcherNode::forward(const Message& msg, Timestamp dispatched_at,
   if (config_.dispatch_work > 0.0) {
     ctx_->charge(config_.dispatch_work,
                  [this, to = choice.matcher, req = std::move(req)]() mutable {
-                   send_match_request(to, std::move(req));
+                   ctx_->send(to, Envelope::of(std::move(req)));
                  });
   } else {
-    send_match_request(choice.matcher, std::move(req));
+    ctx_->send(choice.matcher, Envelope::of(std::move(req)));
   }
   return choice;
-}
-
-void DispatcherNode::send_match_request(NodeId to, MatchRequest req) {
-  if (config_.wire_batch <= 1) {
-    ctx_->send(to, Envelope::of(std::move(req)));
-    return;
-  }
-  std::vector<MatchRequest>& buf = outbatch_[to];
-  buf.push_back(std::move(req));
-  if (buf.size() >= static_cast<std::size_t>(config_.wire_batch)) {
-    flush_matcher_batch(to);
-    return;
-  }
-  // A partial batch never waits longer than the flush interval; one shared
-  // timer covers every buffered matcher.
-  if (!flush_timer_armed_) {
-    flush_timer_armed_ = true;
-    ctx_->set_timer(config_.wire_flush_interval, [this] {
-      flush_timer_armed_ = false;
-      flush_all_batches();
-    });
-  }
-}
-
-void DispatcherNode::flush_matcher_batch(NodeId to) {
-  auto it = outbatch_.find(to);
-  if (it == outbatch_.end() || it->second.empty()) return;
-  std::vector<MatchRequest> reqs = std::move(it->second);
-  it->second.clear();
-  m_batch_size_->record(static_cast<double>(reqs.size()));
-  if (reqs.size() == 1) {
-    // A lone request skips the batch wrapper: identical bytes to unbatched
-    // operation.
-    ctx_->send(to, Envelope::of(std::move(reqs.front())));
-    return;
-  }
-  m_batches_->inc();
-  ctx_->send(to, Envelope::of(MatchRequestBatch{std::move(reqs)}));
-}
-
-void DispatcherNode::flush_all_batches() {
-  for (auto& [to, buf] : outbatch_) {
-    if (!buf.empty()) flush_matcher_batch(to);
-  }
 }
 
 void DispatcherNode::handle_publish(ClientPublish msg) {

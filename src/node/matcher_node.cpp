@@ -51,7 +51,6 @@ MatcherNode::MatcherNode(NodeId id, MatcherConfig config)
   // Register instruments once and cache the pointers: the hot path then
   // touches only relaxed atomics.
   m_requests_ = &metrics_.counter("matcher.requests");
-  m_batches_ = &metrics_.counter("matcher.batches_received");
   m_matched_ = &metrics_.counter("matcher.matched");
   m_deliveries_ = &metrics_.counter("matcher.deliveries");
   m_stats_reqs_ = &metrics_.counter("matcher.stats_requests");
@@ -147,8 +146,6 @@ void MatcherNode::on_receive(NodeId from, Envelope env) {
           handle_remove(msg);
         } else if constexpr (std::is_same_v<T, MatchRequest>) {
           handle_match_request(std::move(msg));
-        } else if constexpr (std::is_same_v<T, MatchRequestBatch>) {
-          handle_match_batch(std::move(msg));
         } else if constexpr (std::is_same_v<T, SplitCommand>) {
           handle_split(from, msg);
         } else if constexpr (std::is_same_v<T, HandoverSegment>) {
@@ -244,8 +241,11 @@ void MatcherNode::handle_remove(const RemoveSubscription& msg) {
 // Matching service: per-dimension queues, `cores` concurrent services
 // --------------------------------------------------------------------------
 
-void MatcherNode::enqueue_match_request(MatchRequest msg) {
-  if (left_ || msg.dim >= dims()) return;
+void MatcherNode::handle_match_request(MatchRequest msg) {
+  if (left_ || msg.dim >= dims()) {
+    pump();
+    return;
+  }
   DimSet& set = sets_[msg.dim];
   ++set.arrived_in_window;
   m_requests_->inc();
@@ -260,19 +260,6 @@ void MatcherNode::enqueue_match_request(MatchRequest msg) {
   const auto depth = static_cast<double>(set.queue.size());
   set.queue_depth->set(depth);
   set.queue_high_water->record_max(depth);
-}
-
-void MatcherNode::handle_match_request(MatchRequest msg) {
-  enqueue_match_request(std::move(msg));
-  pump();
-}
-
-void MatcherNode::handle_match_batch(MatchRequestBatch batch) {
-  // Queue the whole batch before pumping: the cores then see the full
-  // backlog and drain it through the index's batched probe in fewer,
-  // larger services.
-  m_batches_->inc();
-  for (MatchRequest& req : batch.reqs) enqueue_match_request(std::move(req));
   pump();
 }
 

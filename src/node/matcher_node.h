@@ -180,12 +180,11 @@ class MatcherNode final : public Node {
 
   BD_NODE_THREAD void handle_store(const StoreSubscription& msg);
   BD_NODE_THREAD void handle_remove(const RemoveSubscription& msg);
+  /// Counts, stamps and queues one request on its dimension queue, then
+  /// pumps. A frame of requests arrives envelope by envelope: the first
+  /// starts a core, and the rest queue behind it while the cores are busy,
+  /// where `match_batch` drains them together.
   BD_NODE_THREAD void handle_match_request(MatchRequest msg);
-  BD_NODE_THREAD void handle_match_batch(MatchRequestBatch batch);
-  /// Common admission path: counts, stamps and queues one request on its
-  /// dimension queue. Does NOT pump — callers pump once per envelope so a
-  /// whole batch lands in the queues before cores start draining.
-  BD_NODE_THREAD void enqueue_match_request(MatchRequest msg);
   BD_NODE_THREAD void handle_split(NodeId from, const SplitCommand& msg);
   BD_NODE_THREAD void handle_handover_segment(const HandoverSegment& msg);
   BD_NODE_THREAD void handle_leave();
@@ -236,7 +235,6 @@ class MatcherNode final : public Node {
   // outlive the registry they point into.
   obs::MetricsRegistry metrics_;
   obs::Counter* m_requests_ = nullptr;    ///< MatchRequests accepted
-  obs::Counter* m_batches_ = nullptr;     ///< MatchRequestBatch envelopes
   obs::Counter* m_matched_ = nullptr;     ///< messages fully serviced
   obs::Counter* m_deliveries_ = nullptr;  ///< Delivery envelopes sent
   obs::Counter* m_stats_reqs_ = nullptr;  ///< StatsRequest scrapes answered

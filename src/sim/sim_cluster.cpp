@@ -142,8 +142,6 @@ void SimCluster::deliver(NodeId from, NodeId to, Envelope env,
     ++dropped_messages_;
     if (std::holds_alternative<MatchRequest>(env.payload))
       ++lost_match_requests_;
-    else if (const auto* b = std::get_if<MatchRequestBatch>(&env.payload))
-      lost_match_requests_ += b->reqs.size();
     return;
   }
   ++rec->traffic.msgs_received;
@@ -215,8 +213,6 @@ void SimCluster::Context::send(NodeId to, Envelope env) {
     ++cluster_->dropped_messages_;
     if (std::holds_alternative<MatchRequest>(env.payload))
       ++cluster_->lost_match_requests_;
-    else if (const auto* b = std::get_if<MatchRequestBatch>(&env.payload))
-      cluster_->lost_match_requests_ += b->reqs.size();
     return;
   }
   const std::uint64_t epoch = target->epoch;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -409,6 +410,41 @@ TEST(EdgeFrontendTest, ReusedClientSubIdWithdrawsThePreviousSubscription) {
   fe.stop();
 }
 
+TEST(EdgeFrontendTest, OversizedClientFrameHeaderIsMalformed) {
+  // A header claiming a 64 MiB frame used to be accepted (anything up to
+  // wire::kMaxFrame), zero-filling the whole buffer before a body byte
+  // arrived. Client frames are small single envelopes, so the edge now
+  // refuses such a header outright and closes the connection.
+  IngressCapture ingress;
+  EdgeConfig cfg;
+  cfg.host = "127.0.0.1";
+  EdgeFrontend fe(cfg, 10, ingress.fn());
+  fe.start();
+
+  const int fd = edge::dial({"127.0.0.1", fe.port()});
+  ASSERT_GE(fd, 0);
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  ASSERT_TRUE(net::wire::send_frame(fd, kInvalidNode,
+                                    Envelope::of(EdgeHello{})));
+  std::uint8_t lenbuf[4];
+  ASSERT_TRUE(net::wire::read_all(fd, lenbuf, 4));
+  std::vector<std::uint8_t> welcome(net::wire::read_frame_len(lenbuf));
+  ASSERT_TRUE(net::wire::read_all(fd, welcome.data(), welcome.size()));
+  ASSERT_TRUE(eventually([&] { return fe.connections() == 1; }));
+
+  const std::uint32_t claim = net::wire::kMaxFrame;
+  ASSERT_TRUE(net::wire::write_all(fd, &claim, sizeof claim));
+  EXPECT_TRUE(eventually([&] { return counter(fe, "edge.malformed") == 1; }));
+  EXPECT_TRUE(eventually([&] { return fe.connections() == 0; }));
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "connection should be closed";
+  // The session is detached, not destroyed.
+  EXPECT_EQ(fe.sessions(), 1u);
+  ::close(fd);
+  fe.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Backpressure / teardown
 // ---------------------------------------------------------------------------
@@ -418,7 +454,6 @@ TEST(EdgeFrontendTest, SlowClientIsEvictedAndSessionSurvives) {
   EdgeConfig cfg;
   cfg.host = "127.0.0.1";
   cfg.write_queue_bytes = 16 * 1024;
-  cfg.fanout_batch = 1;
   EdgeFrontend fe(cfg, 10, ingress.fn());
   fe.start();
 
@@ -462,7 +497,6 @@ TEST(EdgeFrontendTest, PeerCloseMidSendDoesNotKillTheProcess) {
   IngressCapture ingress;
   EdgeConfig cfg;
   cfg.host = "127.0.0.1";
-  cfg.fanout_batch = 1;
   EdgeFrontend fe(cfg, 10, ingress.fn());
   fe.start();
 

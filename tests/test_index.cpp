@@ -437,6 +437,17 @@ TEST(IndexFactory, NamesAndKinds) {
   EXPECT_NE(make_index(IndexKind::kFlatBucket, 0, Range{0, 1}), nullptr);
 }
 
+TEST(IndexFactory, NamesParseBackAndUnknownNamesDoNot) {
+  for (const IndexKind kind :
+       {IndexKind::kLinearScan, IndexKind::kBucket, IndexKind::kIntervalTree,
+        IndexKind::kFlatBucket}) {
+    EXPECT_EQ(index_kind_from_string(to_string(kind)), kind)
+        << to_string(kind);
+  }
+  EXPECT_EQ(index_kind_from_string("flat_bucket"), std::nullopt);
+  EXPECT_EQ(index_kind_from_string(""), std::nullopt);
+}
+
 TEST(FlatBucketIndex, SharedArenaStoresEachSubscriptionOnce) {
   // Two dimension indexes sharing one arena: the same subscription
   // registered in both occupies a single slot, and survives until the last

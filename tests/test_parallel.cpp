@@ -635,7 +635,8 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
   ASSERT_TRUE(eventually([&] { return client->ctx() != nullptr; }));
   NodeContext* ctx = client->ctx();
 
-  // Envelopes are built here and sent from one node-thread task.
+  // Envelopes are built here and sent from one node-thread task; the wire
+  // coalesces the task's sends into multi-envelope frames.
   std::vector<Envelope> envs;
   Rng rng(5);
   for (SubscriptionId id = 1; id <= 2000; ++id) {
@@ -651,7 +652,6 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
         std::move(sub), static_cast<DimId>(id % kDims)}));
   }
   const int kRequests = 2000;
-  MatchRequestBatch batch;
   for (int i = 0; i < kRequests; ++i) {
     MatchRequest req;
     req.msg.id = static_cast<MessageId>(i + 1);
@@ -661,11 +661,7 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
     }
     req.dim = static_cast<DimId>(i % kDims);
     req.reply_to = kClient;
-    batch.reqs.push_back(std::move(req));
-    if (batch.reqs.size() == 32 || i + 1 == kRequests) {
-      envs.push_back(Envelope::of(std::move(batch)));
-      batch = MatchRequestBatch{};
-    }
+    envs.push_back(Envelope::of(std::move(req)));
   }
   client_host.post([ctx, envs = std::move(envs)]() mutable {
     for (Envelope& env : envs) ctx->send(kMatcher, std::move(env));

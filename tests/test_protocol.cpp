@@ -92,41 +92,6 @@ TEST(Envelope, MatchRequestRoundTrip) {
   EXPECT_DOUBLE_EQ(req.dispatched_at, 12.5);
 }
 
-TEST(Envelope, MatchRequestBatchRoundTrip) {
-  MatchRequestBatch batch;
-  for (int i = 0; i < 3; ++i) {
-    MatchRequest req;
-    req.msg = sample_msg();
-    req.msg.id = static_cast<MessageId>(100 + i);
-    req.dim = static_cast<DimId>(i);
-    req.dispatched_at = 1.5 * i;
-    req.reply_to = i == 1 ? NodeId{77} : kInvalidNode;
-    // Hops only travel when the request is traced (trace_id != 0), so give
-    // every element a trace id and leave untraced hop-dropping to the
-    // single-request MatchRequest round-trip test.
-    req.trace_id = obs::TraceId{900 + static_cast<std::uint64_t>(i)};
-    req.hops.enqueued_at = 0.25 * i;
-    batch.reqs.push_back(std::move(req));
-  }
-  const auto back = round_trip(Envelope::of(batch));
-  const auto& b = std::get<MatchRequestBatch>(back.payload);
-  ASSERT_EQ(b.reqs.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    const MatchRequest& req = b.reqs[static_cast<std::size_t>(i)];
-    EXPECT_EQ(req.msg.id, static_cast<MessageId>(100 + i));
-    EXPECT_EQ(req.dim, static_cast<DimId>(i));
-    EXPECT_DOUBLE_EQ(req.dispatched_at, 1.5 * i);
-    EXPECT_DOUBLE_EQ(req.hops.enqueued_at, 0.25 * i);
-  }
-  EXPECT_EQ(b.reqs[1].reply_to, NodeId{77});
-  EXPECT_EQ(b.reqs[2].trace_id, obs::TraceId{902});
-}
-
-TEST(Envelope, EmptyMatchRequestBatchRoundTrip) {
-  const auto back = round_trip(Envelope::of(MatchRequestBatch{}));
-  EXPECT_TRUE(std::get<MatchRequestBatch>(back.payload).reqs.empty());
-}
-
 TEST(Envelope, DeliveryRoundTrip) {
   Delivery d;
   d.msg_id = 1;

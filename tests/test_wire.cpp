@@ -1,8 +1,11 @@
-// Tests for the wire path: EnvelopeBatch framing (byte-exact round-trips
-// against the legacy format), TcpHost's one outbound path (each node task's
-// sends coalesced per peer, frames capped at kMaxFrame, stale-connection
-// retry, stop() against a peer that stops reading), and a full
-// dispatcher->matcher MatchRequestBatch pipeline over real sockets.
+// Tests for the wire path: multi-envelope framing (byte-exact round-trips
+// against the legacy format), the one outbound frame builder
+// (wire::FrameBuilder: a lone envelope is build_frame's bytes, frames split
+// greedily at kMaxFrame), TcpHost's one outbound path (each node task's
+// sends coalesced per peer, stale-connection retry, stop() against a peer
+// that stops reading), the edge's use of the same builder (a burst of
+// deliveries to one session, gap-free and in order), and a full
+// dispatcher->matcher pipeline whose requests leave in coalesced frames.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,9 @@
 #include <future>
 #include <thread>
 
+#include "common/thread_safety.h"
+#include "edge/edge_client.h"
+#include "edge/edge_frontend.h"
 #include "net/tcp_transport.h"
 #include "net/wire.h"
 #include "node/dispatcher_node.h"
@@ -90,6 +96,13 @@ std::vector<std::uint8_t> serialize(const Envelope& env) {
   return w.take();
 }
 
+/// One complete single-envelope frame carrying a publish.
+std::vector<std::uint8_t> framed_publish(MessageId id, NodeId from) {
+  serde::Writer w;
+  net::wire::build_frame(w, from, sample_publish(id));
+  return w.take();
+}
+
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------
@@ -112,26 +125,29 @@ TEST(WireFraming, SingleEnvelopeFrameMatchesLegacyBytesExactly) {
 }
 
 TEST(WireFraming, MultiEnvelopeFrameRoundTripsByteExactly) {
-  // Assemble a 3-envelope frame the way TcpHost's flush does: header +
-  // bodies, then parse it back and compare each envelope's serialization
-  // byte for byte (the traced request carries hop timestamps, which must
-  // survive).
+  // Assemble a 3-envelope frame the way TcpHost's flush does (one
+  // FrameBuilder, closed once), then parse it back and compare each
+  // envelope's serialization byte for byte (the traced request carries hop
+  // timestamps, which must survive).
   const std::vector<Envelope> envs = {sample_publish(1),
                                       traced_match_request(2),
                                       sample_publish(3)};
-  std::vector<std::uint8_t> frame(8);
+  net::wire::FrameBuilder builder(9);
   std::uint32_t body_bytes = 0;
   for (const Envelope& e : envs) {
-    const auto bytes = serialize(e);
-    body_bytes += static_cast<std::uint32_t>(bytes.size());
-    frame.insert(frame.end(), bytes.begin(), bytes.end());
+    body_bytes += static_cast<std::uint32_t>(serialize(e).size());
+    EXPECT_EQ(builder.append(e).envelopes, 0u);
   }
-  net::wire::fill_header(frame.data(), body_bytes, 9);
+  const net::wire::FrameStats stats = builder.close();
+  EXPECT_EQ(stats.envelopes, envs.size());
+  EXPECT_EQ(stats.bytes, builder.size());
+  const std::uint8_t* frame = builder.data();
 
-  const std::uint32_t len = net::wire::read_frame_len(frame.data());
+  const std::uint32_t len = net::wire::read_frame_len(frame);
   ASSERT_EQ(len, body_bytes + net::wire::kFrameOverhead);
+  ASSERT_EQ(builder.size(), len + 4u);
   const net::wire::ParsedFrame parsed =
-      net::wire::parse_frame(frame.data() + 4, len);
+      net::wire::parse_frame(frame + 4, len);
   ASSERT_TRUE(parsed.ok);
   EXPECT_EQ(parsed.from, 9u);
   ASSERT_EQ(parsed.envelopes.size(), envs.size());
@@ -147,11 +163,7 @@ TEST(WireFraming, MultiEnvelopeFrameRoundTripsByteExactly) {
 }
 
 TEST(WireFraming, ParseRejectsTruncatedAndEmptyFrames) {
-  const auto bytes = serialize(sample_publish(5));
-  std::vector<std::uint8_t> frame(8);
-  frame.insert(frame.end(), bytes.begin(), bytes.end());
-  net::wire::fill_header(frame.data(), static_cast<std::uint32_t>(bytes.size()),
-                         3);
+  const auto frame = framed_publish(5, 3);
   // Truncated mid-envelope: not ok.
   EXPECT_FALSE(net::wire::parse_frame(frame.data() + 4, frame.size() - 4 - 3)
                    .ok);
@@ -160,17 +172,135 @@ TEST(WireFraming, ParseRejectsTruncatedAndEmptyFrames) {
 }
 
 // ---------------------------------------------------------------------------
+// The one outbound frame builder
+// ---------------------------------------------------------------------------
+
+TEST(WireFrameBuilder, LoneAppendIsExactlyBuildFrame) {
+  const Envelope env = traced_match_request(42);
+  serde::Writer expected;
+  net::wire::build_frame(expected, 7, env);
+
+  net::wire::FrameBuilder builder(7);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(builder.append(env).envelopes, 0u);
+    const net::wire::FrameStats stats = builder.close();
+    EXPECT_EQ(stats.envelopes, 1u);
+    EXPECT_EQ(stats.bytes, expected.size());
+    ASSERT_EQ(builder.size(), expected.size());
+    EXPECT_EQ(0, std::memcmp(builder.data(), expected.data(), expected.size()));
+    // Closing again closes nothing.
+    EXPECT_EQ(builder.close().envelopes, 0u);
+    // Written bytes leave from the front; once all are gone the builder
+    // starts over and the second round is byte-identical.
+    builder.consume(5);
+    EXPECT_EQ(builder.size(), expected.size() - 5);
+    EXPECT_EQ(0, std::memcmp(builder.data(), expected.data() + 5,
+                             expected.size() - 5));
+    builder.consume(expected.size() - 5);
+    EXPECT_TRUE(builder.empty());
+  }
+}
+
+TEST(WireFrameBuilder, AppendsPastMaxFrameSplitGreedily) {
+  // Three 22 MiB envelopes: the first two share a frame, the third would
+  // take it past kMaxFrame and so starts the next one.
+  constexpr int kEnvelopes = 3;
+  Message msg;
+  msg.id = 1;
+  msg.values = {1.0};
+  msg.payload = std::string(22u << 20, 'x');  // shared by every copy
+  const Envelope env = Envelope::of(ClientPublish{msg});
+  const std::size_t body = serialize(env).size();
+  std::vector<std::uint32_t> want;
+  std::vector<std::uint32_t> want_envs;
+  for (int i = 0; i < kEnvelopes; ++i) {
+    if (want.empty() || want.back() + body > net::wire::kMaxFrame) {
+      want.push_back(static_cast<std::uint32_t>(net::wire::kFrameOverhead));
+      want_envs.push_back(0);
+    }
+    want.back() += static_cast<std::uint32_t>(body);
+    ++want_envs.back();
+  }
+  ASSERT_EQ(want.size(), 2u);
+
+  net::wire::FrameBuilder builder(5);
+  std::vector<net::wire::FrameStats> closed;
+  for (int i = 0; i < kEnvelopes; ++i) {
+    const net::wire::FrameStats split = builder.append(env);
+    if (split.envelopes != 0) closed.push_back(split);
+  }
+  closed.push_back(builder.close());
+  ASSERT_EQ(closed.size(), want.size());
+
+  // Walk the headers: lengths, senders and envelope counts all match the
+  // greedy packing, and every frame parses.
+  const std::uint8_t* p = builder.data();
+  std::size_t total = 0;
+  for (std::size_t f = 0; f < want.size(); ++f) {
+    const std::uint32_t len = net::wire::read_frame_len(p);
+    EXPECT_EQ(len, want[f]) << "frame " << f;
+    EXPECT_EQ(closed[f].envelopes, want_envs[f]) << "frame " << f;
+    EXPECT_EQ(closed[f].bytes, len + 4u) << "frame " << f;
+    const net::wire::ParsedFrame parsed =
+        net::wire::parse_frame(p + 4, len, std::make_shared<int>(0));
+    ASSERT_TRUE(parsed.ok) << "frame " << f;
+    EXPECT_EQ(parsed.from, 5u);
+    EXPECT_EQ(parsed.envelopes.size(), want_envs[f]);
+    p += len + 4;
+    total += len + 4;
+  }
+  EXPECT_EQ(total, builder.size());
+}
+
+TEST(WireFrameBuilder, EdgeBurstToOneSessionArrivesGapFreeInOrder) {
+  // The edge closes a connection's frame at the end of each reactor wake,
+  // with no per-frame envelope cap: a burst of deliveries to one session
+  // must still arrive complete, sequenced and in order.
+  constexpr int kDeliveries = 200;
+  edge::EdgeConfig cfg;
+  cfg.host = "127.0.0.1";
+  edge::EdgeFrontend fe(cfg, 10, [](Envelope&&) {});
+  fe.start();
+
+  bd::Mutex mu;
+  std::vector<EdgeEvent> events;
+  edge::EdgeClient client({"127.0.0.1", fe.port()}, [&](const EdgeEvent& ev) {
+    bd::LockGuard lk(mu);
+    events.push_back(ev);
+  });
+  ASSERT_TRUE(client.connect());
+  for (int m = 1; m <= kDeliveries; ++m) {
+    Delivery d;
+    d.msg_id = static_cast<MessageId>(m);
+    d.subscriber = client.session();
+    d.values = {1, 2};
+    d.payload = PayloadRef("burst-" + std::to_string(m));
+    fe.deliver(d);
+  }
+  ASSERT_TRUE(client.wait_deliveries(kDeliveries, 10.0));
+  {
+    bd::LockGuard lk(mu);
+    ASSERT_EQ(events.size(), static_cast<std::size_t>(kDeliveries));
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].seq, i + 1);
+      EXPECT_EQ(events[i].delivery.msg_id, i + 1);
+      EXPECT_EQ(events[i].delivery.payload.view(),
+                "burst-" + std::to_string(i + 1));
+    }
+  }
+  const auto snap = fe.metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("edge.deliveries"),
+            static_cast<std::uint64_t>(kDeliveries));
+  EXPECT_LE(snap.counters.at("edge.frames_out"),
+            static_cast<std::uint64_t>(kDeliveries + 1));
+  client.disconnect();
+  fe.stop();
+}
+
+// ---------------------------------------------------------------------------
 // Zero-copy payload receive path
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> framed_publish(MessageId id, NodeId from) {
-  const auto bytes = serialize(sample_publish(id));
-  std::vector<std::uint8_t> frame(8);
-  frame.insert(frame.end(), bytes.begin(), bytes.end());
-  net::wire::fill_header(frame.data(),
-                         static_cast<std::uint32_t>(bytes.size()), from);
-  return frame;
-}
 
 TEST(WireZeroCopy, OwnedFrameParsesPayloadsAsViewsIntoTheBuffer) {
   // Parse with a refcounted owner, the way TcpHost's reader loop does: the
@@ -584,10 +714,10 @@ TEST(WireSync, StaleConnectionRetryAfterPeerRestart) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: dispatcher-side MatchRequest batching over TCP
+// End-to-end: a dispatcher task's MatchRequests leave in coalesced frames
 // ---------------------------------------------------------------------------
 
-TEST(WireCluster, MatchRequestBatchesFlowDispatcherToMatcher) {
+TEST(WireCluster, PublishBurstInOneTaskFlowsToMatchersInCoalescedFrames) {
   constexpr NodeId kSink = 2;
   constexpr NodeId kDispatcher = 10;
   const std::vector<NodeId> matcher_ids{1000, 1001};
@@ -605,8 +735,6 @@ TEST(WireCluster, MatchRequestBatchesFlowDispatcherToMatcher) {
   DispatcherConfig dcfg;
   dcfg.domains = domains;
   dcfg.table_pull_interval = 0.5;
-  dcfg.wire_batch = 8;  // app-level MatchRequestBatch coalescing
-  dcfg.wire_flush_interval = 0.002;
   TcpHost dispatcher_host(
       kDispatcher, 0,
       [&] {
@@ -652,33 +780,25 @@ TEST(WireCluster, MatchRequestBatchesFlowDispatcherToMatcher) {
   dispatcher_host.start();
   for (auto& h : matcher_hosts) h->start();
 
-  // Publish a burst; every message must complete matching even though the
-  // dispatcher ships them as MatchRequestBatch envelopes.
+  // Publish a burst in one dispatcher task: its MatchRequests to each
+  // matcher leave in one flush, as multi-envelope frames, and every
+  // message must still complete matching.
   constexpr int kMessages = 200;
-  const TcpEndpoint dispatcher_ep = directory[kDispatcher];
-  for (int i = 0; i < kMessages; ++i) {
-    Message msg;
-    msg.id = static_cast<MessageId>(i + 1);
-    msg.values = {500.0, 500.0};
-    ASSERT_TRUE(TcpHost::send_once(dispatcher_ep,
-                                   Envelope::of(ClientPublish{msg})));
-  }
+  ASSERT_TRUE(dispatcher_host.post([node = dispatcher_host.node()] {
+    for (int i = 0; i < kMessages; ++i) {
+      Message msg;
+      msg.id = static_cast<MessageId>(i + 1);
+      msg.values = {500.0, 500.0};
+      node->on_receive(kInvalidNode, Envelope::of(ClientPublish{msg}));
+    }
+  }));
   EXPECT_TRUE(eventually([&] { return completions.load() == kMessages; }))
       << "completions=" << completions.load();
 
-  // The dispatcher actually batched (not 200 singleton sends)...
-  const auto* disp =
-      dispatcher_host.node_as<DispatcherNode>();
-  const auto dsnap = disp->metrics().snapshot();
-  EXPECT_GT(dsnap.counters.at("dispatcher.batches_sent"), 0u);
-  // ...and some matcher saw a MatchRequestBatch envelope.
-  std::uint64_t matcher_batches = 0;
-  for (std::size_t i = 0; i < matcher_hosts.size(); ++i) {
-    const auto msnap =
-        matcher_hosts[i]->node_as<MatcherNode>()->metrics().snapshot();
-    matcher_batches += msnap.counters.at("matcher.batches_received");
-  }
-  EXPECT_GT(matcher_batches, 0u);
+  // The dispatcher's wire coalesced them (not 200 singleton frames).
+  const auto wsnap = dispatcher_host.wire_metrics().snapshot();
+  EXPECT_GT(wsnap.counters.at("wire.envelopes_sent"),
+            wsnap.counters.at("wire.frames_sent"));
 
   for (auto& h : matcher_hosts) h->stop();
   dispatcher_host.stop();

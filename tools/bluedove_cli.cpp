@@ -22,7 +22,7 @@
 //   --system=bluedove|p2p|full-rep     --matchers=N        --dispatchers=N
 //   --subs=N          --dims=K         --sigma=S           --width=W
 //   --policy=adaptive|response-time|sub-count|random
-//   --index=linear-scan|bucket|interval-tree|flat-bucket
+//   --index=linear-scan|bucket|interval-tree|flat-bucket  (any other exits 2)
 //   --match-batch=N   --msg-skew=J     --seed=N
 //   --reliable        --cores=N
 //   --cover           enable subscription covering (DESIGN.md §15): matchers
@@ -90,6 +90,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,15 +159,15 @@ ExperimentConfig config_from(const CliArgs& args) {
   }
 
   const std::string index = args.get("index", "linear-scan");
-  if (index == "bucket") {
-    cfg.index_kind = IndexKind::kBucket;
-  } else if (index == "interval-tree") {
-    cfg.index_kind = IndexKind::kIntervalTree;
-  } else if (index == "flat-bucket") {
-    cfg.index_kind = IndexKind::kFlatBucket;
-  } else {
-    cfg.index_kind = IndexKind::kLinearScan;
+  const std::optional<IndexKind> kind = index_kind_from_string(index);
+  if (!kind) {
+    std::fprintf(stderr,
+                 "bluedove_cli: unknown --index=%s (linear-scan, bucket, "
+                 "interval-tree, flat-bucket)\n",
+                 index.c_str());
+    std::exit(2);
   }
+  cfg.index_kind = *kind;
   cfg.match_batch = static_cast<int>(args.get_int("match-batch", 1));
   cfg.cover = args.get_bool("cover", false);
   cfg.cover_budget = args.get_double("cover-budget", 0.05);

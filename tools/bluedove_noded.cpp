@@ -9,7 +9,8 @@
 //   --dispatchers=id,...             dispatcher ids (matchers report to them)
 //   --sink=id                        delivery/metrics sink node id
 //   --dims=K --domain=L              schema (default 4 x [0,1000))
-//   --index=bucket|flat-bucket|interval-tree|linear-scan   (matcher only)
+//   --index=bucket|flat-bucket|interval-tree|linear-scan   (matcher only;
+//                                    any other name exits 2)
 //   --match-batch=N                  matcher batch drain depth (default 1)
 //   --cover                          matcher subscription covering
 //                                    (DESIGN.md §15): near-duplicate
@@ -36,18 +37,15 @@
 //                                    (DESIGN.md §16). 0 = disabled.
 //   --edge-reactors=N                edge reactor threads (default 2)
 //   --trace-sample=R                 dispatcher trace sampling rate [0,1]
-//   --wire-batch=N                   (dispatcher) MatchRequests coalesced
-//                                    per matcher into one MatchRequestBatch
-//                                    (default 1 = no batching)
-//   --wire-flush=SEC                 (dispatcher) max wait for a
-//                                    MatchRequestBatch to fill (default
-//                                    0.5 ms)
 //   --stats-json=PATH                periodically write the node's metrics
 //                                    snapshot as JSON to PATH
 //   --stats-interval=SEC             snapshot cadence (default 5 s)
 //   --trace-json=PATH                where SIGUSR2 (and exit) dump the
 //                                    flight recorder as Perfetto JSON
 //                                    (default bluedove_trace_<id>.json)
+//
+// The wire has no tuning flags: whatever one node task sends to a peer
+// leaves as one frame, split only at the 64 MiB frame cap (net/wire.h).
 //
 // Live scraping: matchers and dispatchers answer StatsRequest envelopes
 // with a StatsResponse carrying their metrics registry as JSON; use
@@ -68,6 +66,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -166,15 +165,15 @@ int main(int argc, char** argv) {
     cfg.domains = domains;
     cfg.cores = static_cast<int>(args.get_int("cores", 4));
     const std::string index = args.get("index", "bucket");
-    if (index == "flat-bucket") {
-      cfg.index_kind = IndexKind::kFlatBucket;
-    } else if (index == "interval-tree") {
-      cfg.index_kind = IndexKind::kIntervalTree;
-    } else if (index == "linear-scan") {
-      cfg.index_kind = IndexKind::kLinearScan;
-    } else {
-      cfg.index_kind = IndexKind::kBucket;
+    const std::optional<IndexKind> kind = index_kind_from_string(index);
+    if (!kind) {
+      std::fprintf(stderr,
+                   "bluedove_noded: unknown --index=%s (bucket, flat-bucket, "
+                   "interval-tree, linear-scan)\n",
+                   index.c_str());
+      return 2;
     }
+    cfg.index_kind = *kind;
     cfg.match_batch = static_cast<int>(args.get_int("match-batch", 1));
     cfg.cover.enabled = args.get_bool("cover", false);
     cfg.cover.fp_volume_budget = args.get_double("cover-budget", 0.05);
@@ -191,8 +190,6 @@ int main(int argc, char** argv) {
     cfg.domains = domains;
     cfg.reliable_delivery = args.get_bool("reliable", false);
     cfg.trace_sample_rate = args.get_double("trace-sample", 0.0);
-    cfg.wire_batch = static_cast<int>(args.get_int("wire-batch", 1));
-    cfg.wire_flush_interval = args.get_double("wire-flush", 0.0005);
     auto dispatcher = std::make_unique<DispatcherNode>(id, cfg);
     if (!cluster.empty()) {
       dispatcher->set_bootstrap(bootstrap_table(cluster, domains));
